@@ -3,7 +3,6 @@ credit-risk post-processing on an exact statevector simulator."""
 
 __version__ = "0.1.0"
 
-from ._backend import kernel_backend
 from .circuits import (
     ConcavityClass,
     build_gci_ideal,
@@ -37,6 +36,7 @@ from .simkit import (
     circuit_probabilities,
     circuit_unitary,
     convert_bit_order,
+    kernel_backend,
     max_abs_diff_up_to_phase,
     simulate,
 )

@@ -39,26 +39,40 @@ SWEEP_PRESETS = {
 }
 
 
+ANSATZ_QUBITS = {"2q": 2, "3q": 3}
+
+# Cap on sweep rows, for one grid and for the theta1 x theta2 product; the
+# largest preset, fine-3q, has 441.
+MAX_GRID_POINTS = 100_000
+
+
 class UsageError(Exception):
     pass
+
+
+def _ansatz_qubits(ansatz) -> int:
+    if ansatz not in ANSATZ_QUBITS:
+        raise UsageError(f"ansatz must be 2q or 3q, got {ansatz!r}")
+    return ANSATZ_QUBITS[ansatz]
 
 
 def _parse_grid(spec: str) -> list[float]:
     """"start:stop:step" inclusive of stop when it lands on the grid, or one value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"bad angle grid {spec!r}, expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"angle grid {spec!r} must be finite")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0 or stop < start:
         raise UsageError(f"bad angle grid {spec!r}")
-    values = []
-    k = 0
-    while start + k * step <= stop + 1e-9:
-        values.append(start + k * step)
-        k += 1
-    return values
+    span = (stop + 1e-9 - start) / step
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(f"angle grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(int(span) + 1)]
 
 
 def _write_json(path: Path, payload: dict):
@@ -140,39 +154,36 @@ def cmd_sweep(args) -> int:
     else:
         ansatz, theta0 = args.ansatz, args.theta0
         theta1_spec, theta2_spec = args.theta1, args.theta2
-    if ansatz not in ("2q", "3q"):
-        raise UsageError(f"ansatz must be 2q or 3q, got {ansatz!r}")
+    n_qubits = _ansatz_qubits(ansatz)
     if theta1_spec is None:
         raise UsageError("a theta1 grid is required")
-    if ansatz == "3q" and theta2_spec is None:
+    if n_qubits == 3 and theta2_spec is None:
         raise UsageError("the 3q ansatz needs a theta2 grid")
     theta1s = _parse_grid(str(theta1_spec))
-    theta2s = _parse_grid(str(theta2_spec)) if ansatz == "3q" else [None]
-    if not theta1s or not theta2s:
-        raise UsageError("empty sweep grid")
+    theta2s = _parse_grid(str(theta2_spec)) if n_qubits == 3 else [None]
+    if len(theta1s) * len(theta2s) > MAX_GRID_POINTS:
+        raise UsageError(f"sweep grid has {len(theta1s) * len(theta2s)} points, "
+                         f"more than {MAX_GRID_POINTS}")
 
-    n_qubits = 2 if ansatz == "2q" else 3
+    build = variational.loader_builder(n_qubits)
     class_tol = args.class_tol if args.class_tol is not None else (
-        1e-3 if args.shots else 1e-9)
+        1e-3 if args.shots is not None else 1e-9)
     readout = _readout(args, n_qubits)
     grid = [(t1, t2) for t1 in theta1s for t2 in theta2s]
     streams = np.random.SeedSequence(args.seed or 0).spawn(len(grid))
 
     out = _out_dir(args)
-    headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if ansatz == "3q" else [])
+    headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
                + [f"p_{format(b, f'0{n_qubits}b')}" for b in range(2**n_qubits)] + ["class"])
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)
         for row_idx, (t1, t2) in enumerate(grid):
-            degs = [theta0, t1] + ([t2] if ansatz == "3q" else [])
-            rads = [math.radians(d) for d in degs]
-            circ = (circuits.build_two_qubit_loader(rads) if ansatz == "2q"
-                    else circuits.build_three_qubit_loader(rads))
-            probs = simkit.circuit_probabilities(circ)
+            degs = [theta0, t1] + ([t2] if n_qubits == 3 else [])
+            probs = simkit.circuit_probabilities(build([math.radians(d) for d in degs]))
             if readout is not None:
                 probs = noise.apply_confusion(probs, readout)
-            if args.shots:
+            if args.shots is not None:
                 rng = np.random.default_rng(streams[row_idx])
                 probs = noise.sample_shots(probs, args.shots, rng).frequencies()
             label = circuits.classify_concavity(probs, class_tol).value
@@ -272,13 +283,8 @@ def cmd_transpile(args) -> int:
 def cmd_spam(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     thetas_deg = [float(x) for x in args.thetas.split(",")]
-    rads = [math.radians(d) for d in thetas_deg]
-    if args.ansatz == "2q":
-        circ = circuits.build_two_qubit_loader(rads)
-    elif args.ansatz == "3q":
-        circ = circuits.build_three_qubit_loader(rads)
-    else:
-        raise UsageError(f"ansatz must be 2q or 3q, got {args.ansatz!r}")
+    build = variational.loader_builder(_ansatz_qubits(args.ansatz))
+    circ = build([math.radians(d) for d in thetas_deg])
     seed = args.seed or 0
     report = noise.spam_statistics(circ, args.reps, args.shots, seed=seed,
                                    confusion=_readout(args, circ.n_qubits))
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="angle sweep with concavity classification")
     p_sweep.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
-    p_sweep.add_argument("--ansatz", choices=["2q", "3q"], default=None)
+    p_sweep.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), default=None)
     p_sweep.add_argument("--theta0", type=float, default=90.0, help="fixed theta0 (degrees)")
     p_sweep.add_argument("--theta1", default=None, help="degrees, start:stop:step or one value")
     p_sweep.add_argument("--theta2", default=None, help="degrees, start:stop:step or one value")
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.set_defaults(func=cmd_transpile)
 
     p_spam = sub.add_parser("spam", help="pairwise asymmetry statistics over repeated runs")
-    p_spam.add_argument("--ansatz", choices=["2q", "3q"], required=True)
+    p_spam.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), required=True)
     p_spam.add_argument("--thetas", required=True, help="degrees, comma separated")
     p_spam.add_argument("--reps", type=int, default=100)
     p_spam.add_argument("--shots", type=int, default=None, help="omit for exact probabilities")

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import simkit
 from .simkit import Circuit, Gate
-from .transpiler import CouplingMap
+from .transpiler import CouplingMap, cz_phase
 
 
 @dataclass
@@ -36,12 +36,6 @@ class ConfusionMatrix:
             raise ValueError("columns must each sum to 1")
 
     @classmethod
-    def from_matrix(cls, matrix) -> "ConfusionMatrix":
-        matrix = np.asarray(matrix, dtype=float)
-        n = int(round(np.log2(matrix.shape[0])))
-        return cls(n, matrix)
-
-    @classmethod
     def from_factors(cls, factors: Sequence) -> "ConfusionMatrix":
         mats = [np.asarray(f, dtype=float) for f in factors]
         full = mats[0]
@@ -61,14 +55,6 @@ class ConfusionMatrix:
         if self.factors is not None:
             return {"factors": [f.tolist() for f in self.factors]}
         return {"matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConfusionMatrix":
-        if "factors" in data:
-            return cls.from_factors(data["factors"])
-        if "fidelity" in data:
-            return cls.uniform_readout(int(data["n_qubits"]), float(data["fidelity"]))
-        return cls.from_matrix(data["matrix"])
 
 
 def apply_confusion(probs: Sequence[float], cm: ConfusionMatrix) -> np.ndarray:
@@ -111,7 +97,7 @@ def sample_shots(probs: Sequence[float], n_shots: int,
 
 
 def inject_cz_phase(circuit: Circuit, cmap: CouplingMap) -> Circuit:
-    """Append RZ(phase_error) on the tuned qubit after every CZ.
+    """Append the spurious RZ that `transpiler.cz_phase` names after every CZ.
 
     Circuit qubit index i is taken to be physical wire cmap.qubit_names[i],
     the convention routed circuits follow.
@@ -120,12 +106,9 @@ def inject_cz_phase(circuit: Circuit, cmap: CouplingMap) -> Circuit:
     for g in circuit.gates:
         gates.append(g)
         if g.kind == "cz":
-            edge = cmap.edge_between(g.qubits[0], g.qubits[1])
-            if edge is None:
-                raise ValueError(
-                    f"CZ on {g.qubits} does not correspond to a coupled pair")
-            if edge.phase_error != 0.0:
-                gates.append(Gate.rz(cmap.index(edge.tuned), edge.phase_error))
+            wire, phase = cz_phase(cmap, *g.qubits)
+            if phase != 0.0:
+                gates.append(Gate.rz(wire, phase))
     return Circuit(circuit.n_qubits, gates, circuit.bit_order)
 
 

@@ -104,13 +104,14 @@ def var(dist: LossDistribution, level: float) -> float:
 def cvar(dist: LossDistribution, level: float) -> float:
     """Expected loss in the tail beyond VaR, with the boundary atom split.
 
-    cvar = [sum_{L > VaR} L p(L) + VaR (CDF(VaR) - level)] / (1 - level).
+    cvar = [sum_{L > VaR} L p(L) + VaR (CDF(VaR) - level)] / (1 - level),
+    clamped to the largest loss, which rounding in the CDF can overshoot.
     """
     v = var(dist, level)
     idx = int(np.searchsorted(dist.losses, v))
     tail = float(dist.losses[idx + 1:] @ dist.pdf[idx + 1:])
     boundary = v * (float(dist.cdf[idx]) - level)
-    return (tail + boundary) / (1.0 - level)
+    return min((tail + boundary) / (1.0 - level), float(dist.losses[-1]))
 
 
 def gci_layout(model: GciModel) -> RegisterLayout:

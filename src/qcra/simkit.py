@@ -1,9 +1,11 @@
 """Dense statevector simulator for small gate circuits.
 
-Amplitudes are indexed with q0 as the most significant bit, so a basis
-index spells the ket left to right (index 6 of a 3-qubit register is
-|110>). The Q0_LSB order is available for callers that want the reversed
-reading; conversion is a fixed index permutation.
+Amplitudes are indexed with q0 as the most significant bit: qubit q
+occupies bit (n - 1 - q) of the basis index, so an index spells the ket
+left to right (index 6 of a 3-qubit register is |110>). The gate kernels
+rely on this: viewing the 2^n amplitudes as an n-dimensional (2, ..., 2)
+array puts qubit q on axis q. The Q0_LSB order is available for callers
+that want the reversed reading; conversion is a fixed index permutation.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from ._backend import kernels
 
 GATE_KINDS = ("ry", "rz", "h", "x", "cz", "cnot", "cry")
 _ANGLED = frozenset({"ry", "rz", "cry"})
@@ -151,29 +151,44 @@ def basis_state(n_qubits: int, index_or_bits: int | str) -> Statevector:
     return Statevector(n_qubits, amp)
 
 
+def kernel_backend() -> str:
+    """Name of the gate-kernel implementation; numpy is the only one."""
+    return "python"
+
+
+def _apply_2x2(v: np.ndarray, axis: int, u00, u01, u10, u11):
+    """Apply [[u00, u01], [u10, u11]] in place along one axis of an amplitude view."""
+    lead = (slice(None),) * axis
+    i0, i1 = lead + (0,), lead + (1,)
+    a0 = v[i0].copy()
+    a1 = v[i1].copy()
+    v[i0] = u00 * a0 + u01 * a1
+    v[i1] = u10 * a0 + u11 * a1
+
+
 def _dispatch(amp: np.ndarray, n: int, gate: Gate):
     """Apply one gate in place on a contiguous complex128 buffer."""
-    kind = gate.kind
-    if kind == "ry":
+    v = amp.reshape((2,) * n)  # a view with qubit q on axis q
+    kind, target = gate.kind, gate.qubits[-1]
+    if len(gate.qubits) == 2:
+        # CZ, CNOT and CRY act on the control = 1 half, a view without the control axis
+        control = gate.qubits[0]
+        v = v[(slice(None),) * control + (1,)]
+        target -= target > control
+    if kind in ("ry", "cry"):
         half = 0.5 * gate.angle
         c, s = math.cos(half), math.sin(half)
-        kernels.apply_single(amp, n, gate.qubits[0], c, -s, s, c)
+        _apply_2x2(v, target, c, -s, s, c)
     elif kind == "rz":
         ph = cmath.exp(-0.5j * gate.angle)
-        kernels.apply_single(amp, n, gate.qubits[0], ph, 0.0, 0.0, ph.conjugate())
+        _apply_2x2(v, target, ph, 0.0, 0.0, ph.conjugate())
     elif kind == "h":
         r = 1.0 / math.sqrt(2.0)
-        kernels.apply_single(amp, n, gate.qubits[0], r, r, r, -r)
-    elif kind == "x":
-        kernels.apply_single(amp, n, gate.qubits[0], 0.0, 1.0, 1.0, 0.0)
+        _apply_2x2(v, target, r, r, r, -r)
+    elif kind in ("x", "cnot"):
+        _apply_2x2(v, target, 0.0, 1.0, 1.0, 0.0)
     elif kind == "cz":
-        kernels.apply_cz(amp, n, gate.qubits[0], gate.qubits[1])
-    elif kind == "cnot":
-        kernels.apply_controlled_single(amp, n, gate.qubits[0], gate.qubits[1], 0.0, 1.0, 1.0, 0.0)
-    elif kind == "cry":
-        half = 0.5 * gate.angle
-        c, s = math.cos(half), math.sin(half)
-        kernels.apply_controlled_single(amp, n, gate.qubits[0], gate.qubits[1], c, -s, s, c)
+        v[(slice(None),) * target + (1,)] *= -1.0
     else:  # unreachable: Gate validates kind
         raise ValueError(kind)
 

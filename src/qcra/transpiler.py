@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import simkit
 from .simkit import Circuit, Gate
 
@@ -97,6 +95,19 @@ def contralto_3q() -> CouplingMap:
         [Edge("D3", "A6", tuned="A6", phase_error=math.radians(135.0)),
          Edge("D3", "C4", tuned="D3", phase_error=math.radians(90.0))],
     )
+
+
+def cz_phase(cmap: CouplingMap, i: int, j: int) -> tuple[int, float]:
+    """Wire and angle of the spurious RZ that a CZ on wires i and j leaves behind.
+
+    The flux pulse detunes the edge's tuned qubit, so the phase lands on that
+    wire whatever the order of i and j. Counter-phases in `route`, noise
+    injection and `verify_truth_table` all take the phase model from here.
+    """
+    edge = cmap.edge_between(i, j)
+    if edge is None:
+        raise RoutingError(f"{cmap.qubit_names[i]}-{cmap.qubit_names[j]} is not a coupled pair")
+    return cmap.index(edge.tuned), edge.phase_error
 
 
 def decompose_cnot(control: int, target: int, counter_phase: float = 0.0) -> list[Gate]:
@@ -219,12 +230,8 @@ def route(circuit: Circuit, cmap: CouplingMap,
     swap_count = 0
 
     def counter_for(pc: int, pt: int) -> float:
-        edge = cmap.edge_between(pc, pt)
-        if edge is None:
-            raise RoutingError(f"{cmap.qubit_names[pc]}-{cmap.qubit_names[pt]} is not a coupled pair")
-        if counter_phases and cmap.qubit_names[pt] == edge.tuned:
-            return -edge.phase_error
-        return 0.0
+        wire, phase = cz_phase(cmap, pc, pt)
+        return -phase if counter_phases and wire == pt else 0.0
 
     def emit_cnot(pc: int, pt: int):
         out.extend(decompose_cnot(pc, pt, counter_for(pc, pt)))
@@ -282,31 +289,21 @@ def route(circuit: Circuit, cmap: CouplingMap,
     )
 
 
-def layout_permutation_unitary(l2p: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Basis permutation sending logical qubit l onto physical wire l2p[l]."""
-    dim = 2**n_qubits
-    mat = np.zeros((dim, dim))
-    for x in range(dim):
-        y = 0
-        for l in range(n_qubits):
-            bit = (x >> (n_qubits - 1 - l)) & 1
-            y |= bit << (n_qubits - 1 - l2p[l])
-        mat[y, x] = 1.0
-    return mat
-
-
 def verify_truth_table(gates: Sequence[Gate], control: int, target: int,
                        tuned: int, phase_error: float) -> float:
     """Mean probability of the correct CNOT output over the four basis inputs.
 
-    The edge's spurious phase is modeled by an RZ(phase_error) on the tuned
-    qubit after every CZ in the sequence.
+    The two wires form one edge whose CZ phase error, `phase_error` on wire
+    `tuned`, follows every CZ in the sequence as `cz_phase` places it.
     """
+    cmap = CouplingMap(["0", "1"], [Edge("0", "1", str(tuned), phase_error)])
     noisy: list[Gate] = []
     for g in gates:
         noisy.append(g)
-        if g.kind == "cz" and phase_error != 0.0:
-            noisy.append(Gate.rz(tuned, phase_error))
+        if g.kind == "cz":
+            wire, phase = cz_phase(cmap, *g.qubits)
+            if phase != 0.0:
+                noisy.append(Gate.rz(wire, phase))
     circ = Circuit(2, noisy)
     score = 0.0
     for b in range(4):

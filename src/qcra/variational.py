@@ -71,16 +71,28 @@ def _builder_probs(builder: CircuitBuilder, thetas: np.ndarray) -> np.ndarray:
 
 
 def _check_ry_parameterization(builder: CircuitBuilder, thetas: np.ndarray):
-    """Every gate whose angle moves with a parameter must be an RY rotation."""
+    """Each parameter may move at most one gate, an RY whose angle is theta + const.
+
+    The two-point pi/2 shift rule is exact only in that form; a parameter in
+    two gates or in RY(2 theta) would get a silently wrong gradient.
+    """
     ref = builder(thetas).gates
     for i in range(len(thetas)):
         shifted = np.array(thetas, dtype=float)
         shifted[i] += 1.0
+        moved = []
         for a, b in zip(ref, builder(shifted).gates, strict=True):
             if (a.kind, a.qubits) != (b.kind, b.qubits):
                 raise ValueError("ansatz structure must not depend on the parameters")
-            if a.angle != b.angle and a.kind != "ry":
-                raise ValueError(f"shift rule requires RY-parameterized gates, found {a.kind}")
+            if a.angle != b.angle:
+                if a.kind != "ry":
+                    raise ValueError(f"shift rule requires RY-parameterized gates, found {a.kind}")
+                moved.append(b.angle - a.angle)
+        if len(moved) > 1:
+            raise ValueError(f"parameter {i} moves {len(moved)} gates; the shift rule needs one")
+        if moved and abs(moved[0] - 1.0) > 1e-9:
+            raise ValueError(f"parameter {i} enters its RY with coefficient {moved[0]:.6g}; "
+                             "the shift rule needs 1")
 
 
 def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], target,

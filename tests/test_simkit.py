@@ -236,29 +236,3 @@ class TestJsonInterface:
         data = simkit.circuit_to_dict(circ)
         assert data["gates"][0]["angle_deg"] == pytest.approx(180.0)
 
-
-class TestKernelBackends:
-    def test_fallback_matches_active_backend(self):
-        from qcra import _kernels_py
-
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            circ = random_circuit(n, 12, rng)
-            active = simkit.simulate(circ).amplitudes
-            amp = np.zeros(2**n, dtype=np.complex128)
-            amp[0] = 1.0
-            saved = simkit.kernels
-            simkit.kernels = _kernels_py
-            try:
-                for g in circ.gates:
-                    simkit._dispatch(amp, n, g)
-            finally:
-                simkit.kernels = saved
-            np.testing.assert_allclose(active, amp, atol=1e-14)
-
-    def test_compiled_extension_if_built(self):
-        compiled = pytest.importorskip("qcra._kernels")
-        amp = np.array([1.0, 0.0], dtype=np.complex128)
-        compiled.apply_single(amp, 1, 0, 0.0, 1.0, 1.0, 0.0)
-        np.testing.assert_allclose(amp, [0, 1])

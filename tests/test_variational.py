@@ -114,6 +114,21 @@ class TestParameterShiftGradient:
         with pytest.raises(ValueError):
             parameter_shift_gradient(builder, [0.4], np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("builder", [
+        lambda th: Circuit(2, [Gate.ry(0, 2 * th[0]), Gate.ry(1, th[1]), Gate.cnot(0, 1)]),
+        lambda th: Circuit(2, [Gate.ry(0, th[0]), Gate.ry(1, th[0] + th[1]), Gate.cnot(0, 1)]),
+    ], ids=["coefficient-2", "one-parameter-two-gates"])
+    def test_rejects_what_the_shift_rule_gets_wrong(self, builder):
+        target = make_target(2, 0.0, 0.8, 1.5)
+        with pytest.raises(ValueError, match="shift rule"):
+            parameter_shift_gradient(builder, [0.3, 1.1], target)
+
+    def test_offset_ry_matches_finite_differences(self):
+        builder = lambda th: Circuit(2, [Gate.ry(0, th[0] + 0.4), Gate.ry(1, th[1]), Gate.cnot(0, 1)])
+        target = make_target(2, 0.0, 0.8, 1.5)
+        g = parameter_shift_gradient(builder, [0.3, 1.1], target)
+        np.testing.assert_allclose(g, finite_difference_gradient(builder, np.array([0.3, 1.1]), target), atol=1e-6)
+
     def test_fixed_rz_gates_are_fine(self):
         builder = lambda th: Circuit(1, [Gate.ry(0, float(th[0])), Gate.rz(0, 0.7)])
         g = parameter_shift_gradient(builder, [0.3], np.array([1.0, 0.0]))
