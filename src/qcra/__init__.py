@@ -24,7 +24,7 @@ from .finmodel import (
     pd_approx,
     pd_exact,
 )
-from .noise import ConfusionMatrix, ShotCounts, apply_confusion, inject_cz_phase, sample_shots, spam_statistics
+from .noise import ConfusionMatrix, ShotCounts, apply_confusion, sample_shots, spam_statistics
 from .riskpipe import LossDistribution, RegisterLayout, cvar, decode_counts, run_gci_pipeline, var
 from .simkit import (
     BitOrder,
@@ -40,7 +40,8 @@ from .simkit import (
     max_abs_diff_up_to_phase,
     simulate,
 )
-from .transpiler import CouplingMap, Edge, TranspileReport, contralto_3q, decompose_cnot, decompose_cry, route, verify_truth_table
+from .transpiler import (CouplingMap, Edge, TranspileReport, contralto_3q, decompose_cnot, decompose_cry,
+                         inject_cz_phase, route, verify_truth_table)
 from .variational import (
     AdamState,
     TrainConfig,

@@ -45,6 +45,9 @@ ANSATZ_QUBITS = {"2q": 2, "3q": 3}
 # largest preset, fine-3q, has 441.
 MAX_GRID_POINTS = 100_000
 
+# Cap on spam repetitions, which are all allocated up front; the default is 100.
+MAX_REPS = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -172,23 +175,22 @@ def cmd_sweep(args) -> int:
     grid = [(t1, t2) for t1 in theta1s for t2 in theta2s]
     streams = np.random.SeedSequence(args.seed or 0).spawn(len(grid))
 
-    out = _out_dir(args)
     headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
                + [f"p_{format(b, f'0{n_qubits}b')}" for b in range(2**n_qubits)] + ["class"])
+    rows = [headers]
+    for row_idx, (t1, t2) in enumerate(grid):
+        degs = [theta0, t1] + ([t2] if n_qubits == 3 else [])
+        probs = simkit.circuit_probabilities(build([math.radians(d) for d in degs]))
+        if readout is not None:
+            probs = noise.apply_confusion(probs, readout)
+        if args.shots is not None:
+            rng = np.random.default_rng(streams[row_idx])
+            probs = noise.sample_shots(probs, args.shots, rng).frequencies()
+        label = circuits.classify_concavity(probs, class_tol).value
+        rows.append([repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label])
+    out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for row_idx, (t1, t2) in enumerate(grid):
-            degs = [theta0, t1] + ([t2] if n_qubits == 3 else [])
-            probs = simkit.circuit_probabilities(build([math.radians(d) for d in degs]))
-            if readout is not None:
-                probs = noise.apply_confusion(probs, readout)
-            if args.shots is not None:
-                rng = np.random.default_rng(streams[row_idx])
-                probs = noise.sample_shots(probs, args.shots, rng).frequencies()
-            label = circuits.classify_concavity(probs, class_tol).value
-            writer.writerow([repr(float(d)) for d in degs]
-                            + [repr(float(p)) for p in probs] + [label])
+        csv.writer(fh).writerows(rows)
     config = {"ansatz": ansatz, "theta0": theta0, "theta1": theta1_spec,
               "theta2": theta2_spec, "shots": args.shots, "class_tol": class_tol,
               "preset": args.preset}
@@ -282,6 +284,8 @@ def cmd_transpile(args) -> int:
 
 def cmd_spam(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
+    if args.reps > MAX_REPS:
+        raise UsageError(f"--reps {args.reps} is more than {MAX_REPS}")
     thetas_deg = [float(x) for x in args.thetas.split(",")]
     build = variational.loader_builder(_ansatz_qubits(args.ansatz))
     circ = build([math.radians(d) for d in thetas_deg])
@@ -358,13 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

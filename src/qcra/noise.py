@@ -1,4 +1,4 @@
-"""Finite-shot sampling, readout confusion channel, CZ phase injection, SPAM stats."""
+"""Finite-shot sampling, readout confusion channel, SPAM stats."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ from typing import Sequence
 import numpy as np
 
 from . import simkit
-from .simkit import Circuit, Gate
-from .transpiler import CouplingMap, cz_phase
+from .simkit import Circuit
+
+# Largest shot count: counts up to 2^53 convert to float exactly.
+MAX_SHOTS = 2**53
 
 
 @dataclass
@@ -66,56 +68,23 @@ def apply_confusion(probs: Sequence[float], cm: ConfusionMatrix) -> np.ndarray:
 
 @dataclass
 class ShotCounts:
-    """Outcome counts keyed by bitstring (same indexing as the sampled vector)."""
+    """Outcome counts, indexed like the sampled probability vector."""
 
     n_shots: int
-    counts: dict[str, int]
-
-    @property
-    def n_qubits(self) -> int:
-        return len(next(iter(self.counts)))
+    counts: np.ndarray
 
     def frequencies(self) -> np.ndarray:
-        n = self.n_qubits
-        out = np.zeros(2**n)
-        for bits, c in self.counts.items():
-            out[int(bits, 2)] = c / self.n_shots
-        return out
+        return self.counts / self.n_shots
 
 
 def sample_shots(probs: Sequence[float], n_shots: int,
                  seed: int | np.random.Generator = 0) -> ShotCounts:
     """Multinomial draw; deterministic for a fixed seed."""
-    if n_shots <= 0:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise ValueError(f"n_shots must be between 1 and 2**53, got {n_shots}")
     p = np.asarray(probs, dtype=float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.multinomial(n_shots, p / p.sum())
-    n = int(round(np.log2(len(p))))
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
-    return ShotCounts(n_shots, counts)
-
-
-def inject_cz_phase(circuit: Circuit, cmap: CouplingMap) -> Circuit:
-    """Append the spurious RZ that `transpiler.cz_phase` names after every CZ.
-
-    Circuit qubit index i is taken to be physical wire cmap.qubit_names[i],
-    the convention routed circuits follow.
-    """
-    gates: list[Gate] = []
-    for g in circuit.gates:
-        gates.append(g)
-        if g.kind == "cz":
-            wire, phase = cz_phase(cmap, *g.qubits)
-            if phase != 0.0:
-                gates.append(Gate.rz(wire, phase))
-    return Circuit(circuit.n_qubits, gates, circuit.bit_order)
-
-
-def symmetric_pairs(n_qubits: int) -> list[tuple[int, int]]:
-    """Index pairs (b, 2^n - 1 - b) whose probabilities agree for symmetric loaders."""
-    dim = 2**n_qubits
-    return [(b, dim - 1 - b) for b in range(dim // 2)]
+    return ShotCounts(n_shots, rng.multinomial(n_shots, p / p.sum()))
 
 
 @dataclass
@@ -148,19 +117,20 @@ def spam_statistics(circuit: Circuit, n_repetitions: int, shots_per_rep: int | N
     probs = simkit.born_probabilities(simkit.simulate(circuit))
     if confusion is not None:
         probs = apply_confusion(probs, confusion)
-    pairs = symmetric_pairs(n)
+    # basis state b pairs with its mirror 2^n - 1 - b
+    low = np.arange(2 ** (n - 1))
+    high = 2**n - 1 - low
     streams = np.random.SeedSequence(seed).spawn(n_repetitions)
-    deltas = np.zeros((n_repetitions, len(pairs)))
+    deltas = np.zeros((n_repetitions, len(low)))
     for r in range(n_repetitions):
         if shots_per_rep is None:
             est = probs
         else:
             rng = np.random.default_rng(streams[r])
             est = sample_shots(probs, shots_per_rep, rng).frequencies()
-        for k, (i, j) in enumerate(pairs):
-            deltas[r, k] = est[i] - est[j]
+        deltas[r] = est[low] - est[high]
     out = {}
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(zip(low, high)):
         label = f"{format(i, f'0{n}b')}-{format(j, f'0{n}b')}"
         out[label] = (float(deltas[:, k].mean()), float(deltas[:, k].std(ddof=1)))
     return SpamReport(n_repetitions, shots_per_rep, out)

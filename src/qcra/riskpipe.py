@@ -1,16 +1,17 @@
 """Loss-distribution post-processing: decode counts, PDF/CDF, EL, VaR, CVaR.
 
-Measured bitstrings are split into a leftmost default-indicator block and a
-rightmost latent-factor block. Every set default bit adds its LGD to the
-scenario loss; the latent block is read as an integer to accumulate the
-z marginal. Identical losses are collapsed on integer cents.
+Outcomes are basis indices: entry i of a probability or count vector is
+outcome i. Its most significant bits are the default indicators, one per
+asset, and its low bits are the latent-factor (z) code. Every set default
+bit adds its LGD to the scenario loss, and the z code accumulates the z
+marginal. Identical losses are collapsed on integer cents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class RegisterLayout:
             raise ValueError("z bits must form the rightmost block")
         if len(self.lgd_per_asset) != len(self.asset_bits):
             raise ValueError("one LGD per asset bit")
+        if not all(0.0 <= lgd < math.inf for lgd in self.lgd_per_asset):
+            raise ValueError(f"LGDs must be finite and nonnegative, got {self.lgd_per_asset}")
 
     @property
     def n_bits(self) -> int:
@@ -50,46 +53,26 @@ class LossDistribution:
     expected_loss: float
     z_marginal: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "losses": self.losses.tolist(),
-            "pdf": self.pdf.tolist(),
-            "cdf": self.cdf.tolist(),
-            "expected_loss": self.expected_loss,
-            "z_marginal": self.z_marginal.tolist(),
-        }
-
-
-def _outcome_weights(outcomes, layout: RegisterLayout) -> Mapping[str, float]:
-    if isinstance(outcomes, ShotCounts):
-        return {bits: c / outcomes.n_shots for bits, c in outcomes.counts.items()}
-    probs = np.asarray(outcomes, dtype=float)
-    if probs.shape != (2**layout.n_bits,):
-        raise ValueError(f"expected {2**layout.n_bits} outcome probabilities, got {probs.shape}")
-    n = layout.n_bits
-    return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p != 0.0}
-
 
 def decode_counts(outcomes, layout: RegisterLayout) -> LossDistribution:
     """Turn measurement outcomes (ShotCounts or exact probabilities) into losses."""
-    weights = _outcome_weights(outcomes, layout)
-    z_marginal = np.zeros(2 ** len(layout.z_bits))
-    by_cents: dict[int, float] = {}
-    for bits, w in weights.items():
-        if len(bits) != layout.n_bits:
-            raise ValueError(f"outcome {bits!r} does not match the {layout.n_bits}-bit layout")
-        z_code = int("".join(bits[i] for i in layout.z_bits), 2)
-        z_marginal[z_code] += w
-        loss = sum(lgd for i, lgd in zip(layout.asset_bits, layout.lgd_per_asset)
-                   if bits[i] == "1")
-        cents = round(loss * 100)
-        by_cents[cents] = by_cents.get(cents, 0.0) + w
-    cents_sorted = sorted(by_cents)
-    losses = np.array([c / 100.0 for c in cents_sorted])
-    pdf = np.array([by_cents[c] for c in cents_sorted])
-    cdf = np.cumsum(pdf)
-    expected = float(losses @ pdf)
-    return LossDistribution(losses, pdf, cdf, expected, z_marginal)
+    if isinstance(outcomes, ShotCounts):
+        outcomes = outcomes.frequencies()
+    weights = np.asarray(outcomes, dtype=float)
+    n = layout.n_bits
+    if weights.shape != (2**n,):
+        raise ValueError(f"expected {2**n} outcome weights, got {weights.shape}")
+    index = np.flatnonzero(weights)
+    weights = weights[index]
+    loss = np.zeros(len(index))
+    for bit, lgd in zip(layout.asset_bits, layout.lgd_per_asset):
+        loss[(index >> (n - 1 - bit)) & 1 == 1] += lgd
+    cents, atom = np.unique(np.rint(loss * 100), return_inverse=True)
+    losses = cents / 100.0
+    pdf = np.bincount(atom, weights)
+    n_z = len(layout.z_bits)
+    z_marginal = np.bincount(index & (2**n_z - 1), weights, minlength=2**n_z)
+    return LossDistribution(losses, pdf, np.cumsum(pdf), float(losses @ pdf), z_marginal)
 
 
 def var(dist: LossDistribution, level: float) -> float:
@@ -127,11 +110,11 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
                      levels: Sequence[float] = (0.95,)) -> tuple[LossDistribution, dict]:
     """Simulate the model circuit and post-process into a loss distribution.
 
-    The simulator output is reindexed so the asset qubit lands on the leftmost
-    bit of every outcome string (the z-register fills the rightmost bits, with
-    q0 as the least significant z bit, matching the controlled-rotation
-    weights). Readout confusion, when given, is applied to the exact
-    probabilities before sampling.
+    The simulator output is reindexed so the asset qubit is the most
+    significant bit of every outcome index (the z-register fills the low
+    bits, with q0 as the least significant z bit, matching the
+    controlled-rotation weights). Readout confusion, when given, is applied
+    to the exact probabilities before sampling.
     """
     if circuit == "ideal":
         circ = build_gci_ideal(model, loader_thetas)
@@ -144,18 +127,12 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
     probs = simkit.born_probabilities(simkit.simulate(circ))
     if confusion is not None:
         probs = apply_confusion(probs, confusion)
-    # q0 q1 q2 -> q2 q1 q0: asset leftmost, z-register rightmost
-    probs_asset_first = simkit.convert_bit_order(probs, circ.n_qubits)
-    layout = gci_layout(model)
-    if shots is None:
-        outcomes = probs_asset_first
-        observed = probs_asset_first
-    else:
-        outcomes = sample_shots(probs_asset_first, shots, seed)
-        observed = outcomes.frequencies()
-    dist = decode_counts(outcomes, layout)
-    half = len(probs_asset_first) // 2
-    p_default = float(np.sum(observed[half:]))  # leftmost (asset) bit set
+    # q0 q1 q2 -> q2 q1 q0: asset most significant, z-register low bits
+    observed = simkit.convert_bit_order(probs, circ.n_qubits)
+    if shots is not None:
+        observed = sample_shots(observed, shots, seed).frequencies()
+    dist = decode_counts(observed, gci_layout(model))
+    p_default = float(np.sum(observed[len(observed) // 2:]))  # asset bit set
     report = {
         "p_default": p_default,
         "expected_loss": dist.expected_loss,

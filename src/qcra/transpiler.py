@@ -101,13 +101,29 @@ def cz_phase(cmap: CouplingMap, i: int, j: int) -> tuple[int, float]:
     """Wire and angle of the spurious RZ that a CZ on wires i and j leaves behind.
 
     The flux pulse detunes the edge's tuned qubit, so the phase lands on that
-    wire whatever the order of i and j. Counter-phases in `route`, noise
-    injection and `verify_truth_table` all take the phase model from here.
+    wire whatever the order of i and j. Counter-phases in `route`,
+    `inject_cz_phase` and `verify_truth_table` all take the phase model from here.
     """
     edge = cmap.edge_between(i, j)
     if edge is None:
         raise RoutingError(f"{cmap.qubit_names[i]}-{cmap.qubit_names[j]} is not a coupled pair")
     return cmap.index(edge.tuned), edge.phase_error
+
+
+def inject_cz_phase(circuit: Circuit, cmap: CouplingMap) -> Circuit:
+    """Append the spurious RZ that `cz_phase` names after every CZ.
+
+    Circuit qubit index i is taken to be physical wire cmap.qubit_names[i],
+    the convention routed circuits follow.
+    """
+    gates: list[Gate] = []
+    for g in circuit.gates:
+        gates.append(g)
+        if g.kind == "cz":
+            wire, phase = cz_phase(cmap, *g.qubits)
+            if phase != 0.0:
+                gates.append(Gate.rz(wire, phase))
+    return Circuit(circuit.n_qubits, gates, circuit.bit_order)
 
 
 def decompose_cnot(control: int, target: int, counter_phase: float = 0.0) -> list[Gate]:
@@ -297,14 +313,7 @@ def verify_truth_table(gates: Sequence[Gate], control: int, target: int,
     `tuned`, follows every CZ in the sequence as `cz_phase` places it.
     """
     cmap = CouplingMap(["0", "1"], [Edge("0", "1", str(tuned), phase_error)])
-    noisy: list[Gate] = []
-    for g in gates:
-        noisy.append(g)
-        if g.kind == "cz":
-            wire, phase = cz_phase(cmap, *g.qubits)
-            if phase != 0.0:
-                noisy.append(Gate.rz(wire, phase))
-    circ = Circuit(2, noisy)
+    circ = inject_cz_phase(Circuit(2, list(gates)), cmap)
     score = 0.0
     for b in range(4):
         c_bit = (b >> (1 - control)) & 1

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcra import noise, transpiler
+from qcra import transpiler
 from qcra.simkit import Circuit, Gate
 from qcra.transpiler import contralto_3q, decompose_cnot, verify_truth_table
 
@@ -10,7 +10,7 @@ from qcra.transpiler import contralto_3q, decompose_cnot, verify_truth_table
 class TestCzPhaseModel:
     def test_inject_cz_phase_on_contralto(self):
         cmap = contralto_3q()  # wires D3, A6, C4
-        out = noise.inject_cz_phase(Circuit(3, [Gate.cz(0, 1), Gate.cz(2, 0)]), cmap)
+        out = transpiler.inject_cz_phase(Circuit(3, [Gate.cz(0, 1), Gate.cz(2, 0)]), cmap)
         assert [(g.kind, g.qubits) for g in out.gates] == [
             ("cz", (0, 1)), ("rz", (1,)), ("cz", (2, 0)), ("rz", (0,))]
         assert math.degrees(out.gates[1].angle) == pytest.approx(135.0)  # tuned A6
@@ -18,7 +18,7 @@ class TestCzPhaseModel:
 
     def test_inject_cz_phase_rejects_an_uncoupled_pair(self):
         with pytest.raises(ValueError, match="not a coupled pair"):
-            noise.inject_cz_phase(Circuit(3, [Gate.cz(1, 2)]), contralto_3q())
+            transpiler.inject_cz_phase(Circuit(3, [Gate.cz(1, 2)]), contralto_3q())
 
     def test_cz_phase_ignores_operand_order(self):
         cmap = contralto_3q()
