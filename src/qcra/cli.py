@@ -172,15 +172,18 @@ def cmd_sweep(args) -> int:
     class_tol = args.class_tol if args.class_tol is not None else (
         1e-3 if args.shots is not None else 1e-9)
     readout = _readout(args, n_qubits)
-    grid = [(t1, t2) for t1 in theta1s for t2 in theta2s]
+    grid = [[theta0, t1] + ([t2] if n_qubits == 3 else []) for t1 in theta1s for t2 in theta2s]
     streams = np.random.SeedSequence(args.seed or 0).spawn(len(grid))
+
+    # one batched simulation binds every grid point into the loader's template
+    rad = np.array([[math.radians(d) for d in degs] for degs in grid])
+    circuit, columns, offsets = variational._check_ry_parameterization(build, rad[0])
+    grid_probs = simkit.batch_probabilities(circuit, columns, rad + offsets)
 
     headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
                + [f"p_{format(b, f'0{n_qubits}b')}" for b in range(2**n_qubits)] + ["class"])
     rows = [headers]
-    for row_idx, (t1, t2) in enumerate(grid):
-        degs = [theta0, t1] + ([t2] if n_qubits == 3 else [])
-        probs = simkit.circuit_probabilities(build([math.radians(d) for d in degs]))
+    for row_idx, (degs, probs) in enumerate(zip(grid, grid_probs)):
         if readout is not None:
             probs = noise.apply_confusion(probs, readout)
         if args.shots is not None:

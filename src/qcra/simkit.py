@@ -2,17 +2,22 @@
 
 Amplitudes are indexed with q0 as the most significant bit: qubit q
 occupies bit (n - 1 - q) of the basis index, so an index spells the ket
-left to right (index 6 of a 3-qubit register is |110>). The gate kernels
-rely on this: viewing the 2^n amplitudes as an n-dimensional (2, ..., 2)
-array puts qubit q on axis q. The Q0_LSB order is available for callers
-that want the reversed reading; conversion is a fixed index permutation.
+left to right (index 6 of a 3-qubit register is |110>). The Q0_LSB order is
+available for callers that want the reversed reading; conversion is a fixed
+index permutation.
+
+Every simulation goes through one gate kernel, `_dispatch`, which acts on a
+(B, 2^n) buffer of amplitude rows. Each row is one binding of the circuit's
+angles (or one input state), and viewing the buffer as a (B, 2, ..., 2)
+array puts qubit q on axis q + 1. A single statevector is a one-row batch;
+`batch_probabilities` binds many angle sets at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -166,22 +171,28 @@ def _apply_2x2(v: np.ndarray, axis: int, u00, u01, u10, u11):
     v[i1] = u10 * a0 + u11 * a1
 
 
-def _dispatch(amp: np.ndarray, n: int, gate: Gate):
-    """Apply one gate in place on a contiguous complex128 buffer."""
-    v = amp.reshape((2,) * n)  # a view with qubit q on axis q
-    kind, target = gate.kind, gate.qubits[-1]
+def _dispatch(amp: np.ndarray, n: int, gate: Gate, angles: np.ndarray | None = None):
+    """Apply one gate in place on a contiguous complex128 (B, 2^n) buffer.
+
+    `angles`, a (B,) column, replaces an RY/RZ/CRY gate's angle row by row.
+    """
+    v = amp.reshape((len(amp),) + (2,) * n)  # a view with qubit q on axis q + 1
+    kind, target = gate.kind, gate.qubits[-1] + 1
     if len(gate.qubits) == 2:
         # CZ, CNOT and CRY act on the control = 1 half, a view without the control axis
-        control = gate.qubits[0]
+        control = gate.qubits[0] + 1
         v = v[(slice(None),) * control + (1,)]
         target -= target > control
+    if kind in _ANGLED:
+        # per-row angles broadcast against the (B, 2, ..., 2) halves _apply_2x2 combines
+        theta = gate.angle if angles is None else angles.reshape((-1,) + (1,) * (v.ndim - 2))
     if kind in ("ry", "cry"):
-        half = 0.5 * gate.angle
-        c, s = math.cos(half), math.sin(half)
+        half = 0.5 * theta
+        c, s = np.cos(half), np.sin(half)
         _apply_2x2(v, target, c, -s, s, c)
     elif kind == "rz":
-        ph = cmath.exp(-0.5j * gate.angle)
-        _apply_2x2(v, target, ph, 0.0, 0.0, ph.conjugate())
+        ph = np.exp(-0.5j * theta)
+        _apply_2x2(v, target, ph, 0.0, 0.0, np.conj(ph))
     elif kind == "h":
         r = 1.0 / math.sqrt(2.0)
         _apply_2x2(v, target, r, r, r, -r)
@@ -199,17 +210,47 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         if not (0 <= q < state.n_qubits):
             raise ValueError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
     out = state.copy()
-    _dispatch(out.amplitudes, out.n_qubits, gate)
+    _dispatch(out.amplitudes[None], out.n_qubits, gate)
     return out
 
 
 def simulate(circuit: Circuit, initial: int | str | None = None) -> Statevector:
     """Run the whole circuit from |0...0> (or a given basis state)."""
     state = zero_state(circuit.n_qubits) if initial is None else basis_state(circuit.n_qubits, initial)
-    amp = state.amplitudes
+    amp = state.amplitudes[None]
     for gate in circuit.gates:
         _dispatch(amp, circuit.n_qubits, gate)
     return state
+
+
+def batch_probabilities(circuit: Circuit, columns, angles) -> np.ndarray:
+    """Born probabilities of the circuit under B angle bindings, one row each.
+
+    `angles` is (B, P): angles[b, j] replaces the angle of gate columns[j] in
+    row b, and every other gate keeps its own. Rows are indexed per the
+    circuit's bit_order, like `circuit_probabilities`.
+    """
+    columns = [operator.index(k) for k in columns]
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[0] < 1 or angles.shape[1] != len(columns):
+        raise ValueError(f"angles must have shape (B >= 1, {len(columns)}), got {angles.shape}")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    if len(set(columns)) != len(columns):
+        raise ValueError(f"columns must be distinct gates, got {columns}")
+    for k in columns:
+        if not (0 <= k < len(circuit.gates)) or circuit.gates[k].kind not in _ANGLED:
+            raise ValueError(f"column {k} is not an RY, RZ or CRY gate of the circuit")
+    n = circuit.n_qubits
+    bound = dict(zip(columns, np.ascontiguousarray(angles.T)))
+    amp = np.zeros((len(angles), 2**n), dtype=np.complex128)
+    amp[:, 0] = 1.0
+    for k, gate in enumerate(circuit.gates):
+        _dispatch(amp, n, gate, bound.get(k))
+    p = np.abs(amp) ** 2
+    if circuit.bit_order is BitOrder.Q0_LSB:
+        p = p[:, bit_reversal_permutation(n)]
+    return p
 
 
 def born_probabilities(state: Statevector) -> np.ndarray:
@@ -245,11 +286,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary extraction limited to {MAX_UNITARY_QUBITS} qubits")
-    dim = 2**n
-    cols = np.eye(dim, dtype=np.complex128)  # row j holds the image of |j>
-    for j in range(dim):
-        for gate in circuit.gates:
-            _dispatch(cols[j], n, gate)
+    cols = np.eye(2**n, dtype=np.complex128)  # row j holds the image of |j>
+    for gate in circuit.gates:
+        _dispatch(cols, n, gate)
     return cols.T.copy()
 
 

@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import simkit
 from .simkit import Circuit, Gate
 
@@ -43,6 +45,9 @@ class CouplingMap:
     edges: list[Edge]
 
     def __post_init__(self):
+        if len(self.qubit_names) > simkit.MAX_QUBITS:
+            raise ValueError(f"coupling map has {len(self.qubit_names)} qubits, "
+                             f"more than {simkit.MAX_QUBITS}")
         known = set(self.qubit_names)
         if len(known) != len(self.qubit_names):
             raise ValueError("duplicate qubit names")
@@ -51,7 +56,11 @@ class CouplingMap:
                 raise ValueError(f"edge {e.a}-{e.b} references unknown qubits")
 
     def index(self, name: str) -> int:
-        return self.qubit_names.index(name)
+        try:
+            return self.qubit_names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown qubit {name!r}; the map has "
+                             f"{', '.join(self.qubit_names)}") from None
 
     def edge_between(self, i: int, j: int) -> Edge | None:
         na, nb = self.qubit_names[i], self.qubit_names[j]
@@ -314,10 +323,10 @@ def verify_truth_table(gates: Sequence[Gate], control: int, target: int,
     """
     cmap = CouplingMap(["0", "1"], [Edge("0", "1", str(tuned), phase_error)])
     circ = inject_cz_phase(Circuit(2, list(gates)), cmap)
+    probs = np.abs(simkit.circuit_unitary(circ)) ** 2  # column b: the output of input |b>
     score = 0.0
     for b in range(4):
         c_bit = (b >> (1 - control)) & 1
         expected = b ^ (1 << (1 - target)) if c_bit else b
-        probs = simkit.born_probabilities(simkit.simulate(circ, b))
-        score += float(probs[expected])
+        score += float(probs[expected, b])
     return score / 4.0

@@ -1,4 +1,11 @@
-"""Target histograms, quadratic distribution loss, shift-rule gradients, Adam loop."""
+"""Target histograms, quadratic distribution loss, shift-rule gradients, Adam loop.
+
+Gradients and fits work on an ansatz's template, taken once from its
+builder: the circuit at given angles, the RY gate each parameter moves, and
+that gate's offset (gate angle = theta + offset). Every angle set the loss
+and the shift rule need is then bound into the template and simulated as
+one batch with `simkit.batch_probabilities`.
+"""
 
 from __future__ import annotations
 
@@ -66,54 +73,79 @@ def loader_builder(n_qubits: int) -> CircuitBuilder:
     raise ValueError(f"no loader ansatz for {n_qubits} qubits")
 
 
-def _builder_probs(builder: CircuitBuilder, thetas: np.ndarray) -> np.ndarray:
-    return simkit.circuit_probabilities(builder(thetas))
+def _check_ry_parameterization(builder: CircuitBuilder, thetas: np.ndarray
+                               ) -> tuple[Circuit, list[int | None], np.ndarray]:
+    """The template of an RY ansatz: its circuit at `thetas`, the gate each
+    parameter moves, and that gate's offset.
 
-
-def _check_ry_parameterization(builder: CircuitBuilder, thetas: np.ndarray):
-    """Each parameter may move at most one gate, an RY whose angle is theta + const.
-
-    The two-point pi/2 shift rule is exact only in that form; a parameter in
-    two gates or in RY(2 theta) would get a silently wrong gradient.
+    Parameter i moves at most one gate, gate columns[i] (None if it moves
+    none), an RY whose angle is thetas[i] + offsets[i]. The two-point pi/2
+    shift rule is exact only in that form; a parameter in two gates or in
+    RY(2 theta) would get a silently wrong gradient, so those are rejected.
     """
-    ref = builder(thetas).gates
+    circuit = builder(thetas)
+    ref = circuit.gates
+    columns: list[int | None] = []
+    offsets = np.zeros(len(thetas))
     for i in range(len(thetas)):
         shifted = np.array(thetas, dtype=float)
         shifted[i] += 1.0
         moved = []
-        for a, b in zip(ref, builder(shifted).gates, strict=True):
+        for k, (a, b) in enumerate(zip(ref, builder(shifted).gates, strict=True)):
             if (a.kind, a.qubits) != (b.kind, b.qubits):
                 raise ValueError("ansatz structure must not depend on the parameters")
             if a.angle != b.angle:
                 if a.kind != "ry":
                     raise ValueError(f"shift rule requires RY-parameterized gates, found {a.kind}")
-                moved.append(b.angle - a.angle)
+                moved.append((k, b.angle - a.angle))
         if len(moved) > 1:
             raise ValueError(f"parameter {i} moves {len(moved)} gates; the shift rule needs one")
-        if moved and abs(moved[0] - 1.0) > 1e-9:
-            raise ValueError(f"parameter {i} enters its RY with coefficient {moved[0]:.6g}; "
+        if not moved:
+            columns.append(None)
+            continue
+        k, coeff = moved[0]
+        if abs(coeff - 1.0) > 1e-9:
+            raise ValueError(f"parameter {i} enters its RY with coefficient {coeff:.6g}; "
                              "the shift rule needs 1")
+        columns.append(k)
+        offsets[i] = ref[k].angle - thetas[i]
+    return circuit, columns, offsets
 
 
-def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], target,
-                             validate: bool = True) -> np.ndarray:
+def _shift_rule_probs(circuit: Circuit, columns: list[int | None], angles: np.ndarray) -> np.ndarray:
+    """Probabilities of the template with parameter i's gate at angles[i]
+    (row 0), shifted by +pi/2 (row 1 + i) and by -pi/2 (row 1 + P + i), in one
+    batched simulation.
+
+    A parameter that moves no gate keeps the row-0 angles in its shifted rows.
+    """
+    n_params = len(columns)
+    moved = [i for i, k in enumerate(columns) if k is not None]
+    rows = np.tile(angles[moved], (2 * n_params + 1, 1))
+    for j, i in enumerate(moved):
+        rows[1 + i, j] += SHIFT
+        rows[1 + n_params + i, j] -= SHIFT
+    return simkit.batch_probabilities(circuit, [columns[i] for i in moved], rows)
+
+
+def _shift_rule_gradient(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i from the rows of `_shift_rule_probs`."""
+    n_params = (len(probs) - 1) // 2
+    dp = 0.5 * (probs[1:n_params + 1] - probs[n_params + 1:])
+    return np.sum(2.0 * (probs[0] - target) * dp, axis=1)
+
+
+def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], target) -> np.ndarray:
     """Exact gradient of the quadratic loss via the two-point shift rule.
 
     dp_b/dt_i = [p_b(t + pi/2 e_i) - p_b(t - pi/2 e_i)] / 2, chained into
-    dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i.
+    dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i. The builder's template is taken
+    at `thetas` and its 2P + 1 circuits are simulated as one batch.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if validate:
-        _check_ry_parameterization(builder, thetas)
+    circuit, columns, offsets = _check_ry_parameterization(builder, thetas)
     t = np.asarray(getattr(target, "probs", target), dtype=float)
-    base = _builder_probs(builder, thetas)
-    grad = np.zeros(len(thetas))
-    for i in range(len(thetas)):
-        shift = np.zeros(len(thetas))
-        shift[i] = SHIFT
-        dp = 0.5 * (_builder_probs(builder, thetas + shift) - _builder_probs(builder, thetas - shift))
-        grad[i] = float(np.sum(2.0 * (base - t) * dp))
-    return grad
+    return _shift_rule_gradient(_shift_rule_probs(circuit, columns, thetas + offsets), t)
 
 
 @dataclass
@@ -184,7 +216,9 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     """Fit the loader ansatz to a target histogram with shift-rule Adam descent.
 
     Initialization draws each angle uniformly from [0, 2 pi) with the config
-    seed, so reports are reproducible bit for bit.
+    seed, so reports are reproducible bit for bit. The ansatz template is
+    taken once; each Adam step is then one batched simulation of the 2P + 1
+    angle bindings the loss and its shift-rule gradient need.
     """
     config = config or TrainConfig()
     t = np.asarray(target.probs, dtype=float)
@@ -194,15 +228,17 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_qubits)
     initial = thetas.copy()
-    _check_ry_parameterization(builder, thetas)
+    circuit, columns, offsets = _check_ry_parameterization(builder, thetas)
     state = AdamState.fresh(n_qubits, config.lr, config.beta1, config.beta2, config.epsilon)
-    history = [distribution_loss(_builder_probs(builder, thetas), t)]
-    converged = history[-1] < config.tol
+    history: list[float] = []
     iterations = 0
-    while not converged and iterations < config.max_iters:
-        grad = parameter_shift_gradient(builder, thetas, t, validate=False)
-        state, thetas = adam_step(state, thetas, grad)
-        iterations += 1
-        history.append(distribution_loss(_builder_probs(builder, thetas), t))
+    while True:
+        # row 0 is the loss at the current angles, rows 1..2P the next gradient
+        probs = _shift_rule_probs(circuit, columns, thetas + offsets)
+        history.append(distribution_loss(probs[0], t))
         converged = history[-1] < config.tol
+        if converged or iterations >= config.max_iters:
+            break
+        state, thetas = adam_step(state, thetas, _shift_rule_gradient(probs, t))
+        iterations += 1
     return TrainReport(thetas, history, converged, iterations, config.seed, initial)

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qcra import cli
 
 TOO_MANY_SHOTS = str(10**23)  # beyond the C long numpy's multinomial takes
+BELL = str(Path(__file__).parent / "data" / "bell.json")  # RY(90) q0, CNOT(0, 1)
+CHAIN13 = str(Path(__file__).parent / "data" / "chain13.json")  # a 13-qubit linear coupling map
 
 
 def run_cli(tmp_path, capsys, *argv):
@@ -35,6 +38,8 @@ class TestSweepInputErrors:
         ["spam", "--ansatz", "2q", "--thetas", "90,200", "--shots", TOO_MANY_SHOTS],
         ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", str(cli.MAX_REPS + 1)],
         ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "1"],
+        ["transpile", "--circuit", BELL, "--layout", "D3,XX"],
+        ["transpile", "--circuit", BELL, "--map", CHAIN13],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         rc, err = run_cli(tmp_path, capsys, *extra)

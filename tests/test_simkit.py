@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcra import simkit
 from qcra.simkit import BitOrder, Circuit, Gate, Statevector
@@ -175,6 +177,69 @@ class TestCircuitUnitary:
     def test_size_bound(self):
         with pytest.raises(ValueError):
             simkit.circuit_unitary(Circuit(7))
+
+    def test_columns_are_basis_state_simulations(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            circ = random_circuit(n, int(rng.integers(0, 15)), rng)
+            u = simkit.circuit_unitary(circ)
+            for j in range(2**n):
+                np.testing.assert_array_equal(u[:, j], simkit.simulate(circ, j).amplitudes)
+
+
+@st.composite
+def bound_circuits(draw):
+    """A random circuit, a set of its angled gates and a (B, P) batch of angles for them."""
+    n = draw(st.integers(1, 6))
+    kinds = simkit.GATE_KINDS if n > 1 else ("ry", "rz", "h", "x")
+    angle = st.floats(-4 * math.pi, 4 * math.pi)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        width = 2 if kind in ("cz", "cnot", "cry") else 1
+        qubits = draw(st.permutations(range(n)))[:width]
+        gates.append(Gate(kind, tuple(qubits), draw(angle) if kind in ("ry", "rz", "cry") else None))
+    circ = Circuit(n, gates, draw(st.sampled_from(BitOrder)))
+    angled = [k for k, g in enumerate(gates) if g.angle is not None]
+    columns = draw(st.permutations(angled))[:draw(st.integers(0, len(angled)))]
+    batch = draw(st.integers(1, 8))
+    angles = np.array(draw(st.lists(st.lists(angle, min_size=len(columns), max_size=len(columns)),
+                                    min_size=batch, max_size=batch))).reshape(batch, len(columns))
+    return circ, columns, angles
+
+
+class TestBatchProbabilities:
+    @settings(deadline=None, max_examples=200)
+    @given(bound_circuits())
+    def test_rows_match_rebuilt_circuits(self, case):
+        circ, columns, angles = case
+        got = simkit.batch_probabilities(circ, columns, angles)
+        assert got.shape == (len(angles), 2**circ.n_qubits)
+        for row, bound in zip(got, angles):
+            gates = list(circ.gates)
+            for k, a in zip(columns, bound):
+                gates[k] = Gate(gates[k].kind, gates[k].qubits, float(a))
+            ref = simkit.circuit_probabilities(Circuit(circ.n_qubits, gates, circ.bit_order))
+            np.testing.assert_array_equal(row, ref)
+
+    @pytest.mark.parametrize("columns, angles, match", [
+        ([0], np.zeros(2), "shape"),
+        ([0], np.zeros((2, 2)), "shape"),
+        ([0, 2], np.zeros((2, 1)), "shape"),
+        ([0], np.zeros((0, 1)), "shape"),
+        ([0], [[0.1], [math.nan]], "finite"),
+        ([2], [[math.inf]], "finite"),
+        ([1], [[0.1]], "column 1"),
+        ([3], [[0.1]], "column 3"),
+        ([4], [[0.1]], "column 4"),
+        ([-1], [[0.1]], "column -1"),
+        ([0, 0], [[0.1, 0.2]], "distinct"),
+    ], ids=["1d", "too-many-columns", "too-few-columns", "no-rows", "nan", "inf",
+            "h-gate", "cz-gate", "past-the-end", "negative", "repeated"])
+    def test_rejects_bad_bindings(self, columns, angles, match):
+        circ = Circuit(2, [Gate.ry(0, 0.3), Gate.h(1), Gate.cry(0, 1, 0.5), Gate.cz(0, 1)])
+        with pytest.raises(ValueError, match=match):
+            simkit.batch_probabilities(circ, columns, angles)
 
 
 class TestNormPreservation:

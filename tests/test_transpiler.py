@@ -2,9 +2,25 @@ import math
 
 import pytest
 
-from qcra import transpiler
+from qcra import simkit, transpiler
 from qcra.simkit import Circuit, Gate
-from qcra.transpiler import contralto_3q, decompose_cnot, verify_truth_table
+from qcra.transpiler import CouplingMap, contralto_3q, decompose_cnot, verify_truth_table
+
+
+class TestCouplingMapInput:
+    def test_unknown_qubit_is_named(self):
+        with pytest.raises(ValueError, match=r"unknown qubit 'XX'; the map has D3, A6, C4"):
+            contralto_3q().index("XX")
+
+    def test_route_names_an_unknown_layout_qubit(self):
+        with pytest.raises(ValueError, match="unknown qubit 'XX'"):
+            transpiler.route(Circuit(2, [Gate.cnot(0, 1)]), contralto_3q(), initial_layout=["D3", "XX"])
+
+    def test_rejects_more_qubits_than_the_simulator_takes(self):
+        names = [f"Q{i}" for i in range(simkit.MAX_QUBITS + 1)]
+        with pytest.raises(ValueError, match=f"13 qubits, more than {simkit.MAX_QUBITS}"):
+            CouplingMap(names, [])
+        assert len(CouplingMap(names[:-1], []).qubit_names) == simkit.MAX_QUBITS
 
 
 class TestCzPhaseModel:

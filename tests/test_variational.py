@@ -28,6 +28,36 @@ def finite_difference_gradient(builder, thetas, target, h=1e-5):
     return grad
 
 
+def reference_gradient(builder, thetas, target):
+    """Per-circuit shift rule: the base circuit plus 2P shifted ones, each simulated alone."""
+    thetas = np.asarray(thetas, dtype=float)
+    t = np.asarray(getattr(target, "probs", target), dtype=float)
+    base = simkit.circuit_probabilities(builder(thetas))
+    grad = np.zeros(len(thetas))
+    for i in range(len(thetas)):
+        shift = np.zeros(len(thetas))
+        shift[i] = variational.SHIFT
+        dp = 0.5 * (simkit.circuit_probabilities(builder(thetas + shift))
+                    - simkit.circuit_probabilities(builder(thetas - shift)))
+        grad[i] = float(np.sum(2.0 * (base - t) * dp))
+    return grad
+
+
+def reference_train(n_qubits, target, config):
+    """Adam fit with 2P + 2 separately built and simulated circuits per step."""
+    builder = variational.loader_builder(n_qubits)
+    t = np.asarray(target.probs, dtype=float)
+    thetas = np.random.default_rng(config.seed).uniform(0.0, 2.0 * math.pi, size=n_qubits)
+    state = AdamState.fresh(n_qubits, config.lr, config.beta1, config.beta2, config.epsilon)
+    history = [distribution_loss(simkit.circuit_probabilities(builder(thetas)), t)]
+    iterations = 0
+    while history[-1] >= config.tol and iterations < config.max_iters:
+        state, thetas = adam_step(state, thetas, reference_gradient(builder, thetas, t))
+        iterations += 1
+        history.append(distribution_loss(simkit.circuit_probabilities(builder(thetas)), t))
+    return thetas, history, iterations
+
+
 def exact_loader_theta1(target_probs):
     """Angle solving cos^2(t1/2)/2 = p*_0 (with theta0 = pi/2)."""
     return 2 * math.acos(math.sqrt(2 * target_probs[0]))
@@ -129,6 +159,19 @@ class TestParameterShiftGradient:
         g = parameter_shift_gradient(builder, [0.3, 1.1], target)
         np.testing.assert_allclose(g, finite_difference_gradient(builder, np.array([0.3, 1.1]), target), atol=1e-6)
 
+    @pytest.mark.parametrize("builder, n", [
+        (build_two_qubit_loader, 2),
+        (build_three_qubit_loader, 3),
+        (lambda th: Circuit(2, [Gate.ry(0, th[0]), Gate.cnot(0, 1), Gate.rz(1, 0.3)]), 2),
+    ], ids=["2q", "3q", "parameter-moving-no-gate"])
+    def test_equals_the_per_circuit_shift_rule(self, builder, n):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            thetas = rng.uniform(-2 * math.pi, 4 * math.pi, n)
+            target = rng.dirichlet(np.ones(2**n))
+            np.testing.assert_array_equal(parameter_shift_gradient(builder, thetas, target),
+                                          reference_gradient(builder, thetas, target))
+
     def test_fixed_rz_gates_are_fine(self):
         builder = lambda th: Circuit(1, [Gate.ry(0, float(th[0])), Gate.rz(0, 0.7)])
         g = parameter_shift_gradient(builder, [0.3], np.array([1.0, 0.0]))
@@ -210,6 +253,18 @@ class TestTrainLoader:
         report = train_loader(2, t, TrainConfig(seed=2, max_iters=50))
         probs = simkit.circuit_probabilities(build_two_qubit_loader(report.final_thetas))
         assert report.loss_history[-1] == pytest.approx(distribution_loss(probs, t), abs=1e-15)
+
+    @pytest.mark.parametrize("n_qubits, mu, sigma, z_max", [
+        (2, 0.0, 1.0, 1.0), (2, 0.3, 0.6, 1.5), (3, 0.0, 1.0, 1.0), (3, -0.4, 0.5, 2.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_per_circuit_training_loop(self, n_qubits, mu, sigma, z_max, seed):
+        target = make_target(n_qubits, mu, sigma, z_max)
+        config = TrainConfig(seed=seed, max_iters=300)
+        report = train_loader(n_qubits, target, config)
+        thetas, history, iterations = reference_train(n_qubits, target, config)
+        assert report.loss_history == history
+        np.testing.assert_array_equal(report.final_thetas, thetas)
+        assert report.iterations == iterations
 
     def test_target_length_checked(self):
         with pytest.raises(ValueError):
