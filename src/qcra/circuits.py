@@ -128,6 +128,8 @@ def check_symmetry_conditions(theta0: float, theta1: float, theta2: float | None
 
 def classify_concavity(probs: Sequence[float], tol: float = 1e-3) -> ConcavityClass:
     """UNIFORM / GAUSSIAN_LIKE / INVERTED by comparing outer and inner pair means."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
     p = np.asarray(probs, dtype=float)
     if p.shape not in ((4,), (8,)):
         raise ValueError(f"expected a length-4 or length-8 vector, got shape {p.shape}")

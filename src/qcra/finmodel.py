@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .simkit import MAX_QUBITS, is_finite_real
+
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
@@ -95,8 +97,8 @@ class GciModel:
     def __post_init__(self):
         if self.lgd < 0:
             raise ValueError(f"lgd must be nonnegative, got {self.lgd}")
-        if self.n_z < 1:
-            raise ValueError(f"n_z must be positive, got {self.n_z}")
+        if not 1 <= self.n_z < MAX_QUBITS:  # the register holds one asset qubit too
+            raise ValueError(f"n_z must be in [1, {MAX_QUBITS - 1}], got {self.n_z}")
         if self.z_max <= 0:
             raise ValueError(f"z_max must be positive, got {self.z_max}")
         self.alpha, self.beta, self.psi = linearize(self.p0, self.rho)
@@ -116,6 +118,11 @@ class GciModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GciModel":
+        if not isinstance(data, dict):
+            raise ValueError(f"a model must be a JSON object, got {type(data).__name__}")
+        bad = [k for k in ("p0", "rho", "lgd", "n_z", "z_max") if not is_finite_real(data[k])]
+        if bad:
+            raise ValueError(f"model fields {bad} must be finite numbers")
         return cls(p0=float(data["p0"]), rho=float(data["rho"]), lgd=float(data["lgd"]),
                    n_z=int(data["n_z"]), z_max=float(data["z_max"]))
 

@@ -1,4 +1,4 @@
-"""Finite-shot sampling, readout confusion channel, SPAM stats."""
+"""Finite-shot sampling, tensored per-qubit readout error, SPAM stats."""
 
 from __future__ import annotations
 
@@ -14,36 +14,37 @@ from .simkit import Circuit
 MAX_SHOTS = 2**53
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Column-stochastic readout map: column = prepared state, row = assigned.
+    """Tensored readout error (Bravyi et al., arXiv:2006.14044) as an (n, 2, 2) stack.
 
-    Indexing matches the probability vector it is applied to; per-qubit
-    factors are tensored with factor 0 on the most significant bit.
+    matrix[q] is qubit q's column-stochastic factor: column = prepared bit,
+    row = assigned bit. The map is their tensor product with qubit 0 on the
+    most significant bit, the simulator's order; that 2^n x 2^n matrix is
+    never formed.
     """
 
-    n_qubits: int
     matrix: np.ndarray
-    factors: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        dim = 2**self.n_qubits
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim} for {self.n_qubits} qubits")
-        if np.any(self.matrix < -1e-12) or np.any(self.matrix > 1 + 1e-12):
+        m = np.array(self.matrix, dtype=float)
+        if m.shape[1:] != (2, 2) or not 1 <= len(m) <= simkit.MAX_QUBITS:
+            raise ValueError(f"need 1 to {simkit.MAX_QUBITS} 2x2 readout factors, got shape {m.shape}")
+        if not np.all((m >= -1e-12) & (m <= 1 + 1e-12)):
             raise ValueError("entries must lie in [0, 1]")
-        col_sums = self.matrix.sum(axis=0)
-        if np.max(np.abs(col_sums - 1.0)) > 1e-12:
+        if not np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("columns must each sum to 1")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.matrix)
 
     @classmethod
     def from_factors(cls, factors: Sequence) -> "ConfusionMatrix":
-        mats = [np.asarray(f, dtype=float) for f in factors]
-        full = mats[0]
-        for f in mats[1:]:
-            full = np.kron(full, f)
-        return cls(len(mats), full, factors=mats)
+        """Stack one 2x2 factor per qubit, qubit 0 first."""
+        return cls(factors)
 
     @classmethod
     def uniform_readout(cls, n_qubits: int, fidelity: float) -> "ConfusionMatrix":
@@ -54,16 +55,23 @@ class ConfusionMatrix:
         return cls.from_factors([f] * n_qubits)
 
     def to_dict(self) -> dict:
-        if self.factors is not None:
-            return {"factors": [f.tolist() for f in self.factors]}
-        return {"matrix": self.matrix.tolist()}
+        return {"factors": self.matrix.tolist()}
 
 
 def apply_confusion(probs: Sequence[float], cm: ConfusionMatrix) -> np.ndarray:
+    """Readout-confused probabilities of one 2^n vector or of (B, 2^n) rows.
+
+    Qubit q's factor acts on bit n - 1 - q of the index, O(n 2^n) per row;
+    a row of a batch gets exactly the arithmetic of a lone call.
+    """
     p = np.asarray(probs, dtype=float)
-    if p.shape != (cm.matrix.shape[1],):
-        raise ValueError(f"probability vector length {p.shape} does not match the matrix")
-    return cm.matrix @ p
+    n = cm.n_qubits
+    if p.ndim not in (1, 2) or p.shape[-1] != 2**n:
+        raise ValueError(f"probabilities of shape {p.shape} do not match {n} readout factors")
+    out = p
+    for q, f in enumerate(cm.matrix):
+        out = f @ out.reshape(-1, 2, 2 ** (n - 1 - q))
+    return out.reshape(p.shape)
 
 
 @dataclass

@@ -113,8 +113,9 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
     The simulator output is reindexed so the asset qubit is the most
     significant bit of every outcome index (the z-register fills the low
     bits, with q0 as the least significant z bit, matching the
-    controlled-rotation weights). Readout confusion, when given, is applied
-    to the exact probabilities before sampling.
+    controlled-rotation weights). Readout confusion, when given, holds one
+    factor per circuit qubit and acts on the exact probabilities in the
+    simulator's order, before that reindexing and before sampling.
     """
     if circuit == "ideal":
         circ = build_gci_ideal(model, loader_thetas)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -315,19 +316,30 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     return {"n_qubits": circuit.n_qubits, "bit_order": circuit.bit_order.value, "gates": gates}
 
 
+def is_finite_real(value) -> bool:
+    """True for a parsed JSON number that is finite as a float; False for a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def circuit_from_dict(data: dict) -> Circuit:
+    """The circuit of a parsed JSON object; a field of the wrong type raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data["gates"], list):
+        raise ValueError("a circuit must be a JSON object with a list of gates")
+    if type(data["n_qubits"]) is not int:  # a bool or a float is not a qubit count
+        raise ValueError(f"n_qubits must be an integer, got {data['n_qubits']!r}")
     gates = []
     for entry in data["gates"]:
-        angle = entry.get("angle_deg")
-        gates.append(
-            Gate(
-                entry["kind"],
-                tuple(entry["qubits"]),
-                math.radians(angle) if angle is not None else None,
-            )
-        )
+        if not isinstance(entry, dict):
+            raise ValueError(f"each gate must be a JSON object, got {entry!r}")
+        qubits, angle = entry["qubits"], entry.get("angle_deg")
+        if not (isinstance(qubits, list) and all(type(q) is int for q in qubits)):
+            raise ValueError(f"gate qubits must be a list of integers, got {qubits!r}")
+        if angle is not None and not is_finite_real(angle):
+            raise ValueError(f"gate angle_deg must be a finite number, got {angle!r}")
+        gates.append(Gate(entry["kind"], tuple(qubits), math.radians(angle) if angle is not None else None))
     order = BitOrder(data.get("bit_order", "q0_msb"))
-    return Circuit(int(data["n_qubits"]), gates, order)
+    return Circuit(data["n_qubits"], gates, order)
 
 
 def circuit_to_json(circuit: Circuit) -> str:

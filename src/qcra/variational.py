@@ -73,8 +73,8 @@ def loader_builder(n_qubits: int) -> CircuitBuilder:
     raise ValueError(f"no loader ansatz for {n_qubits} qubits")
 
 
-def _check_ry_parameterization(builder: CircuitBuilder, thetas: np.ndarray
-                               ) -> tuple[Circuit, list[int | None], np.ndarray]:
+def ry_template(builder: CircuitBuilder, thetas: np.ndarray
+                ) -> tuple[Circuit, list[int | None], np.ndarray]:
     """The template of an RY ansatz: its circuit at `thetas`, the gate each
     parameter moves, and that gate's offset.
 
@@ -143,7 +143,7 @@ def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], t
     at `thetas` and its 2P + 1 circuits are simulated as one batch.
     """
     thetas = np.asarray(thetas, dtype=float)
-    circuit, columns, offsets = _check_ry_parameterization(builder, thetas)
+    circuit, columns, offsets = ry_template(builder, thetas)
     t = np.asarray(getattr(target, "probs", target), dtype=float)
     return _shift_rule_gradient(_shift_rule_probs(circuit, columns, thetas + offsets), t)
 
@@ -228,7 +228,7 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_qubits)
     initial = thetas.copy()
-    circuit, columns, offsets = _check_ry_parameterization(builder, thetas)
+    circuit, columns, offsets = ry_template(builder, thetas)
     state = AdamState.fresh(n_qubits, config.lr, config.beta1, config.beta2, config.epsilon)
     history: list[float] = []
     iterations = 0

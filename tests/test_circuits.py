@@ -150,6 +150,11 @@ class TestConcavity:
         with pytest.raises(ValueError):
             circuits.classify_concavity([0.5, 0.5])
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_tolerance_check(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            circuits.classify_concavity([0.25, 0.25, 0.25, 0.25], tol)
+
     def test_band_structure_21_degree_sweep(self):
         for k in range(18):
             t1 = 90 + 21 * k

@@ -8,11 +8,22 @@ from qcra import cli
 TOO_MANY_SHOTS = str(10**23)  # beyond the C long numpy's multinomial takes
 BELL = str(Path(__file__).parent / "data" / "bell.json")  # RY(90) q0, CNOT(0, 1)
 CHAIN13 = str(Path(__file__).parent / "data" / "chain13.json")  # a 13-qubit linear coupling map
+TRAIN = {"n_qubits": 2, "sigma": 0.8, "z_max": 1.5}
+GATE = {"kind": "ry", "qubits": [0], "angle_deg": 90.0}
 
 
 def run_cli(tmp_path, capsys, *argv):
     rc = cli.main([*argv, "--out-dir", str(tmp_path)])
     return rc, capsys.readouterr().err
+
+
+def as_arg(tmp_path, name, arg):
+    """A str as it is; any other value written to a JSON file, whose path is returned."""
+    if isinstance(arg, str):
+        return arg
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(arg))
+    return str(path)
 
 
 def run_sweep(tmp_path, capsys, *extra):
@@ -40,9 +51,26 @@ class TestSweepInputErrors:
         ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "1"],
         ["transpile", "--circuit", BELL, "--layout", "D3,XX"],
         ["transpile", "--circuit", BELL, "--map", CHAIN13],
+        ["train", "--config", TRAIN | {"sigma": "1"}],
+        ["transpile", "--circuit", {"n_qubits": 2, "gates": [GATE | {"qubits": 5}]}],
+        ["transpile", "--circuit", {"n_qubits": 2, "gates": [GATE | {"angle_deg": "x"}]}],
+        ["gci", "--model", [0.25, 0.027, 1000.0, 2, 1.0]],
+        ["train", "--config", TRAIN | {"z_max": float("inf")}],
+        ["train", "--config", TRAIN | {"sigma": True}],
+        ["train", "--config", TRAIN | {"max_iters": 1e12}],
+        ["train", "--config", TRAIN | {"max_iters": 2.5}],
+        ["train", "--config", TRAIN | {"max_iters": -1}],
+        ["train", "--config", TRAIN | {"lr": float("nan")}],
+        ["train", "--config", [2, 0.8, 1.5]],
+        ["sweep", "--preset", "table2-2q", "--class-tol", "-1"],
+        ["sweep", "--preset", "table2-2q", "--class-tol", "nan"],
+        ["gci", "--model", {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 1e300, "z_max": 1.0}],
+        ["gci", "--model", {"p0": 0.25, "rho": 0.027, "lgd": None, "n_z": 2, "z_max": 1.0}],
+        ["spam", "--ansatz", "2q", "--thetas", "90,200", "--readout-fidelity", "nan"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
-        rc, err = run_cli(tmp_path, capsys, *extra)
+        argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
+        rc, err = run_cli(tmp_path, capsys, *argv)
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
 

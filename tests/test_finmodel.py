@@ -185,3 +185,21 @@ class TestModelValidation:
             GciModel(0.2, 0.1, -1.0, 2, 1.0)
         with pytest.raises(ValueError):
             GciModel(0.2, 0.1, 1.0, 2, 0.0)
+
+    def test_factor_register_fits_the_simulator(self):
+        assert GciModel(0.2, 0.1, 1.0, 11, 1.0).n_z == 11
+        for n_z in (0, 12, 10**300):
+            with pytest.raises(ValueError, match="n_z"):
+                GciModel(0.2, 0.1, 1.0, n_z, 1.0)
+
+    @pytest.mark.parametrize("data", [
+        [0.25, 0.027, 1000.0, 2, 1.0],
+        {"p0": "0.25", "rho": 0.027, "lgd": 1000.0, "n_z": 2, "z_max": 1.0},
+        {"p0": 0.25, "rho": 0.027, "lgd": None, "n_z": 2, "z_max": 1.0},
+        {"p0": 0.25, "rho": 0.027, "lgd": float("nan"), "n_z": 2, "z_max": 1.0},
+        {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": True, "z_max": 1.0},
+        {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 2, "z_max": float("inf")},
+    ])
+    def test_from_dict_rejects_wrong_json_types(self, data):
+        with pytest.raises(ValueError):
+            GciModel.from_dict(data)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,80 @@ class TestSampleShots:
         for bad in (0, -1, noise.MAX_SHOTS + 1, 10**23):
             with pytest.raises(ValueError, match="n_shots"):
                 noise.sample_shots(p, bad)
+
+
+def random_factors(n_qubits, seed):
+    """n random column-stochastic 2x2 factors: column b is P(assigned | prepared b)."""
+    stay = np.random.default_rng(seed).random((n_qubits, 2))
+    return [np.array([[s0, 1.0 - s1], [1.0 - s0, s1]]) for s0, s1 in stay]
+
+
+def kron_matrix(factors):
+    """The dense 2^n x 2^n readout map, factor 0 on the most significant bit."""
+    full = np.ones((1, 1))
+    for f in factors:
+        full = np.kron(full, f)
+    return full
+
+
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_matches_the_kron_product(self, n_qubits):
+        for seed in range(3):
+            factors = random_factors(n_qubits, seed)
+            cm = noise.ConfusionMatrix.from_factors(factors)
+            rows = np.stack([probability_vector(n_qubits, seed + r) for r in range(4)])
+            expected = rows @ kron_matrix(factors).T
+            assert np.max(np.abs(noise.apply_confusion(rows, cm) - expected)) <= 1e-15
+            assert np.max(np.abs(noise.apply_confusion(rows[0], cm) - expected[0])) <= 1e-15
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, 8, 12])
+    def test_rows_equal_single_calls_bitwise(self, n_qubits):
+        cm = noise.ConfusionMatrix.from_factors(random_factors(n_qubits, 7))
+        rows = np.stack([probability_vector(n_qubits, r) for r in range(5)])
+        single = np.stack([noise.apply_confusion(row, cm) for row in rows])
+        assert np.array_equal(noise.apply_confusion(rows, cm), single)
+
+    def test_holds_one_field_of_per_qubit_factors(self):
+        factors = random_factors(5, 1)
+        cm = noise.ConfusionMatrix.from_factors(factors)
+        assert [f.name for f in dataclasses.fields(cm)] == ["matrix"]
+        assert cm.n_qubits == 5 and cm.matrix.shape == (5, 2, 2)
+        assert cm.matrix.nbytes == 32 * 5
+        assert np.array_equal(cm.matrix, np.stack(factors))
+        assert not cm.matrix.flags.writeable
+
+    def test_to_dict_lists_the_factors(self):
+        f = [[0.97, 1.0 - 0.97], [1.0 - 0.97, 0.97]]
+        cm = noise.ConfusionMatrix.uniform_readout(2, 0.97)
+        assert cm.to_dict() == {"factors": [f, f]}
+        assert np.array_equal(noise.ConfusionMatrix.from_factors(cm.to_dict()["factors"]).matrix,
+                              cm.matrix)
+
+    @pytest.mark.parametrize("factors, match", [
+        ([np.eye(3)], "2x2"),
+        ([np.eye(2), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], None),  # ragged: numpy's own message
+        ([[[1.5, 0.0], [-0.5, 1.0]]], r"\[0, 1\]"),
+        ([[[0.9, 0.1], [0.2, 0.8]]], "sum to 1"),  # rows sum to 1, columns do not
+        ([[[np.nan, 0.0], [1.0, 1.0]]], r"\[0, 1\]"),
+        ([], "1 to 12"),
+        ([np.eye(2)] * 13, "1 to 12"),
+    ])
+    def test_rejects_bad_factors(self, factors, match):
+        with pytest.raises(ValueError, match=match):
+            noise.ConfusionMatrix.from_factors(factors)
+
+    def test_rejects_a_bad_stack(self):
+        with pytest.raises(ValueError, match="2x2"):
+            noise.ConfusionMatrix(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1 to 12"):
+            noise.ConfusionMatrix.uniform_readout(0, 0.9)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 4), (1, 1, 8), ()])
+    def test_rejects_a_wrong_length_or_rank(self, shape):
+        cm = noise.ConfusionMatrix.uniform_readout(3, 0.9)
+        with pytest.raises(ValueError, match="readout factors"):
+            noise.apply_confusion(np.full(shape, 0.125), cm)
 
 
 class TestSpamStatistics:

@@ -301,3 +301,21 @@ class TestJsonInterface:
         data = simkit.circuit_to_dict(circ)
         assert data["gates"][0]["angle_deg"] == pytest.approx(180.0)
 
+
+    @pytest.mark.parametrize("data, match", [
+        ([{"kind": "h", "qubits": [0]}], "JSON object"),
+        ({"n_qubits": 1, "gates": {"kind": "h"}}, "list of gates"),
+        ({"n_qubits": 2.0, "gates": []}, "n_qubits"),
+        ({"n_qubits": True, "gates": []}, "n_qubits"),
+        ({"n_qubits": 1, "gates": ["h"]}, "JSON object"),
+        ({"n_qubits": 2, "gates": [{"kind": "h", "qubits": 0}]}, "qubits"),
+        ({"n_qubits": 2, "gates": [{"kind": "h", "qubits": [True]}]}, "qubits"),
+        ({"n_qubits": 2, "gates": [{"kind": "h", "qubits": [1.0]}]}, "qubits"),
+        ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": "90"}]}, "angle_deg"),
+        ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": True}]}, "angle_deg"),
+        ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": float("nan")}]}, "angle_deg"),
+        ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": 10**400}]}, "angle_deg"),
+    ])
+    def test_rejects_wrong_json_types(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            simkit.circuit_from_dict(data)
