@@ -27,7 +27,6 @@ from .finmodel import (
 from .noise import ConfusionMatrix, ShotCounts, apply_confusion, sample_shots, spam_statistics
 from .riskpipe import LossDistribution, RegisterLayout, cvar, decode_counts, run_gci_pipeline, var
 from .simkit import (
-    BitOrder,
     Circuit,
     Gate,
     Statevector,

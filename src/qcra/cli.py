@@ -1,20 +1,28 @@
 """Command-line surface: train / sweep / gci / transpile / spam.
 
 Angles are degrees at this boundary (file schemas say so explicitly) and
-radians inside the library. Every command honors --seed and writes a run
-manifest last; report files carry no timestamps so reruns with the same
-seed are byte-identical.
+radians inside the library. Every command honors --seed; report files carry
+no timestamps, so reruns with the same seed are byte-identical.
+
+One protocol covers every command. A `cmd_*` function only computes: it
+returns a `Run` holding its report files, its manifest config, its seed and
+its exit code. `main` alone writes: it creates --out-dir, writes the files in
+order and then `manifest.json`, and it writes nothing when the command fails.
+A usage error, from the parser or from a command's input checks, prints one
+`error:` line and returns exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +39,10 @@ PAPER_GCI = {
     "transpiled_thetas_deg": [90.0, 224.0, 90.0, 90.0, 180.0],
     "levels": [0.95],
 }
+
+# Loader angles, transpiled angles and levels of a --model run; a preset run
+# takes them from PAPER_GCI.
+MODEL_GCI = {"loader_thetas_deg": [90.0, 90.0], "transpiled_thetas_deg": None, "levels": [0.95]}
 
 SWEEP_PRESETS = {
     "table2-2q": {"ansatz": "2q", "theta0": 90.0, "theta1": "90:450:21"},
@@ -52,21 +64,32 @@ MAX_REPS = 100_000
 # the 0.2 ms per Adam step measured on a 2-vCPU x86-64 VM.
 MAX_ITERS = 100_000
 
+# Cap on a train config's lr (default 0.1): an Adam step moves an angle by
+# about lr radians, and the loader's probabilities repeat every 2 pi.
+MAX_LR = 2.0 * math.pi
+
 # Numeric train-config fields, each with its check (if any) beyond being a
 # finite number; the first three are required.
 TRAIN_NUMBERS = {"n_qubits": lambda v: v in (2, 3), "sigma": lambda v: v > 0,
                  "z_max": lambda v: v > 0, "max_iters": lambda v: 0 <= v <= MAX_ITERS and v == int(v),
-                 "mu": None, "lr": None, "tol": None, "seed": None}
+                 "mu": None, "lr": lambda v: 0 < v <= MAX_LR, "tol": None, "seed": lambda v: v == int(v)}
 
 
 class UsageError(Exception):
     pass
 
 
-def _ansatz_qubits(ansatz) -> int:
-    if ansatz not in ANSATZ_QUBITS:
-        raise UsageError(f"ansatz must be 2q or 3q, got {ansatz!r}")
-    return ANSATZ_QUBITS[ansatz]
+class Run(NamedTuple):
+    """What a command hands `main` to write.
+
+    `files` maps each report file name, in writing order, to its payload: a
+    dict is written as indented JSON and a list of rows as CSV.
+    """
+
+    files: dict[str, dict | list]
+    config: dict
+    seed: int | None
+    code: int = EXIT_OK
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -88,41 +111,20 @@ def _parse_grid(spec: str) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_manifest(out_dir: Path, command: list[str], config: dict, seed, outputs: list[str],
-                    started: str):
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def float_list(text: str) -> list[float]:
+    """A comma-separated list of numbers, as argparse type."""
+    return [float(x) for x in text.split(",")]
 
 
 def _readout(args, n_qubits: int) -> noise.ConfusionMatrix | None:
-    fid = getattr(args, "readout_fidelity", None)
-    if fid is None:
+    if args.readout_fidelity is None:
         return None
-    return noise.ConfusionMatrix.uniform_readout(n_qubits, fid)
+    return noise.ConfusionMatrix.uniform_readout(n_qubits, args.readout_fidelity)
 
 
 # --- train ---
 
-def cmd_train(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_train(args) -> Run:
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise UsageError(f"config must be a JSON object, got {type(cfg).__name__}")
@@ -142,33 +144,24 @@ def cmd_train(args) -> int:
     target = variational.make_target(int(cfg["n_qubits"]), float(cfg.get("mu", 0.0)),
                                      float(cfg["sigma"]), float(cfg["z_max"]))
     report = variational.train_loader(int(cfg["n_qubits"]), target, train_cfg)
-
-    out = _out_dir(args)
-    _write_json(out / "train_report.json", report.to_dict())
-    with open(out / "loss_history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for i, loss in enumerate(report.loss_history):
-            writer.writerow([i, repr(loss)])
-    _write_manifest(out, ["train"], cfg | {"seed": seed}, seed,
-                    ["train_report.json", "loss_history.csv"], started)
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    history = [["iteration", "loss"]] + [[i, repr(loss)] for i, loss in enumerate(report.loss_history)]
+    return Run({"train_report.json": report.to_dict(), "loss_history.csv": history},
+               cfg | {"seed": seed}, seed, EXIT_OK if report.converged else EXIT_NO_CONVERGENCE)
 
 
 # --- sweep ---
 
-def cmd_sweep(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_sweep(args) -> Run:
     if args.preset is not None:
-        if args.preset not in SWEEP_PRESETS:
-            raise UsageError(f"unknown sweep preset {args.preset!r}")
         p = SWEEP_PRESETS[args.preset]
         ansatz, theta0 = p["ansatz"], p["theta0"]
         theta1_spec, theta2_spec = p["theta1"], p.get("theta2")
     else:
         ansatz, theta0 = args.ansatz, args.theta0
         theta1_spec, theta2_spec = args.theta1, args.theta2
-    n_qubits = _ansatz_qubits(ansatz)
+    if ansatz is None:
+        raise UsageError("either --preset or --ansatz is required")
+    n_qubits = ANSATZ_QUBITS[ansatz]
     if theta1_spec is None:
         raise UsageError("a theta1 grid is required")
     if n_qubits == 3 and theta2_spec is None:
@@ -202,41 +195,24 @@ def cmd_sweep(args) -> int:
             probs = noise.sample_shots(probs, args.shots, rng).frequencies()
         label = circuits.classify_concavity(probs, class_tol).value
         rows.append([repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label])
-    out = _out_dir(args)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
     config = {"ansatz": ansatz, "theta0": theta0, "theta1": theta1_spec,
               "theta2": theta2_spec, "shots": args.shots, "class_tol": class_tol,
               "preset": args.preset}
-    _write_manifest(out, ["sweep"], config, args.seed, ["sweep.csv"], started)
-    return EXIT_OK
+    return Run({"sweep.csv": rows}, config, args.seed)
 
 
 # --- gci ---
 
-def cmd_gci(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_gci(args) -> Run:
     if args.preset is not None:
-        if args.preset != "paper-gci":
-            raise UsageError(f"unknown gci preset {args.preset!r}")
-        preset = PAPER_GCI
-        model_dict = preset["model"]
-        loader_deg = preset["loader_thetas_deg"]
-        transpiled_deg = preset["transpiled_thetas_deg"]
-        levels = preset["levels"]
+        model_dict, defaults = PAPER_GCI["model"], PAPER_GCI
     elif args.model is not None:
-        model_dict = json.loads(Path(args.model).read_text())
-        loader_deg = [90.0, 90.0]
-        transpiled_deg = None
-        levels = [0.95]
+        model_dict, defaults = json.loads(Path(args.model).read_text()), MODEL_GCI
     else:
         raise UsageError("either --preset or --model is required")
-    if args.loader_thetas is not None:
-        loader_deg = [float(x) for x in args.loader_thetas.split(",")]
-    if args.transpiled_thetas is not None:
-        transpiled_deg = [float(x) for x in args.transpiled_thetas.split(",")]
-    if args.levels is not None:
-        levels = [float(x) for x in args.levels.split(",")]
+    loader_deg = args.loader_thetas or defaults["loader_thetas_deg"]
+    transpiled_deg = args.transpiled_thetas or defaults["transpiled_thetas_deg"]
+    levels = args.levels or defaults["levels"]
     try:
         model = GciModel.from_dict(model_dict)
     except (KeyError, ValueError) as exc:
@@ -256,66 +232,55 @@ def cmd_gci(args) -> int:
         seed=seed,
         levels=levels,
     )
-    out = _out_dir(args)
-    _write_json(out / "gci_report.json", report)
-    with open(out / "cdf.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss", "cdf"])
-        for loss, c in zip(dist.losses, dist.cdf):
-            writer.writerow([repr(float(loss)), repr(float(c))])
-    _write_manifest(out, ["gci"], report["config_echo"], seed,
-                    ["gci_report.json", "cdf.csv"], started)
-    return EXIT_OK
+    cdf = [["loss", "cdf"]] + [[repr(float(loss)), repr(float(c))] for loss, c in zip(dist.losses, dist.cdf)]
+    return Run({"gci_report.json": report, "cdf.csv": cdf}, report["config_echo"], seed)
 
 
 # --- transpile ---
 
-def cmd_transpile(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_transpile(args) -> Run:
     circ = simkit.circuit_from_json(Path(args.circuit).read_text())
     if args.map is not None:
         cmap = transpiler.CouplingMap.from_dict(json.loads(Path(args.map).read_text()))
-    elif args.preset == "contralto-3q" or args.preset is None:
-        cmap = transpiler.contralto_3q()
     else:
-        raise UsageError(f"unknown coupling-map preset {args.preset!r}")
+        cmap = transpiler.contralto_3q()
     layout = args.layout.split(",") if args.layout else None
     try:
         report = transpiler.route(circ, cmap, initial_layout=layout)
     except transpiler.RoutingError as exc:
         raise UsageError(str(exc)) from exc
-    out = _out_dir(args)
-    _write_json(out / "transpiled.json", simkit.circuit_to_dict(report.output))
-    _write_json(out / "transpile_report.json", report.to_dict())
-    _write_manifest(out, ["transpile"],
-                    {"circuit": args.circuit, "map": args.map, "preset": args.preset,
-                     "layout": args.layout},
-                    args.seed, ["transpiled.json", "transpile_report.json"], started)
-    return EXIT_OK
+    return Run({"transpiled.json": simkit.circuit_to_dict(report.output),
+                "transpile_report.json": report.to_dict()},
+               {"circuit": args.circuit, "map": args.map, "preset": args.preset, "layout": args.layout},
+               args.seed)
 
 
 # --- spam ---
 
-def cmd_spam(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_spam(args) -> Run:
     if args.reps > MAX_REPS:
         raise UsageError(f"--reps {args.reps} is more than {MAX_REPS}")
-    thetas_deg = [float(x) for x in args.thetas.split(",")]
-    build = variational.loader_builder(_ansatz_qubits(args.ansatz))
-    circ = build([math.radians(d) for d in thetas_deg])
+    build = variational.loader_builder(ANSATZ_QUBITS[args.ansatz])
+    circ = build([math.radians(d) for d in args.thetas])
     seed = args.seed or 0
     report = noise.spam_statistics(circ, args.reps, args.shots, seed=seed,
                                    confusion=_readout(args, circ.n_qubits))
-    out = _out_dir(args)
-    payload = report.to_dict() | {"thetas_deg": thetas_deg, "ansatz": args.ansatz, "seed": seed}
-    _write_json(out / "spam_report.json", payload)
-    _write_manifest(out, ["spam"], payload, seed, ["spam_report.json"], started)
-    return EXIT_OK
+    payload = report.to_dict() | {"thetas_deg": args.thetas, "ansatz": args.ansatz, "seed": seed}
+    return Run({"spam_report.json": payload}, payload, seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qcra",
-                                     description="Distribution-loading circuits, transpilation and credit-risk post-processing")
+    """The qcra parser, built once per process (subparsers inherit _Parser)."""
+    parser = _Parser(prog="qcra",
+                     description="Distribution-loading circuits, transpilation and credit-risk post-processing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -340,12 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gci = sub.add_parser("gci", help="run the credit model circuit into a loss report")
-    p_gci.add_argument("--preset", default=None, help="paper-gci")
+    p_gci.add_argument("--preset", choices=["paper-gci"], default=None)
     p_gci.add_argument("--model", default=None, help="model JSON {p0, rho, lgd, n_z, z_max}")
     p_gci.add_argument("--circuit", choices=["ideal", "transpiled"], default="ideal")
-    p_gci.add_argument("--loader-thetas", default=None, help="degrees, comma separated")
-    p_gci.add_argument("--transpiled-thetas", default=None, help="degrees, five comma-separated values")
-    p_gci.add_argument("--levels", default=None, help="confidence levels, comma separated")
+    p_gci.add_argument("--loader-thetas", type=float_list, default=None, help="degrees, comma separated")
+    p_gci.add_argument("--transpiled-thetas", type=float_list, default=None,
+                       help="degrees, five comma-separated values")
+    p_gci.add_argument("--levels", type=float_list, default=None, help="confidence levels, comma separated")
     p_gci.add_argument("--shots", type=int, default=None)
     p_gci.add_argument("--readout-fidelity", type=float, default=None)
     common(p_gci)
@@ -354,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans = sub.add_parser("transpile", help="route a circuit onto a coupling map")
     p_trans.add_argument("--circuit", required=True, help="circuit JSON file")
     p_trans.add_argument("--map", default=None, help="coupling map JSON file")
-    p_trans.add_argument("--preset", default=None, help="contralto-3q")
+    p_trans.add_argument("--preset", choices=["contralto-3q"], default=None)
     p_trans.add_argument("--layout", default=None, help="comma-separated physical names per logical qubit")
     common(p_trans)
     p_trans.set_defaults(func=cmd_transpile)
 
     p_spam = sub.add_parser("spam", help="pairwise asymmetry statistics over repeated runs")
     p_spam.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), required=True)
-    p_spam.add_argument("--thetas", required=True, help="degrees, comma separated")
+    p_spam.add_argument("--thetas", type=float_list, required=True, help="degrees, comma separated")
     p_spam.add_argument("--reps", type=int, default=100)
     p_spam.add_argument("--shots", type=int, default=None, help="omit for exact probabilities")
     p_spam.add_argument("--readout-fidelity", type=float, default=None)
@@ -371,14 +337,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: Path, payload: dict | list):
+    with open(path, "w", newline="") as fh:
+        if isinstance(payload, dict):
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            csv.writer(fh).writerows(payload)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        run = args.func(args)
     except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in run.files.items():
+        _write(out / name, payload)
+    _write(out / "manifest.json", {
+        "command": [args.command],
+        "config": run.config,
+        "seed": run.seed,
+        "version": __version__,
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "outputs": list(run.files),
+    })
+    return run.code
 
 
 if __name__ == "__main__":

@@ -123,6 +123,8 @@ class GciModel:
         bad = [k for k in ("p0", "rho", "lgd", "n_z", "z_max") if not is_finite_real(data[k])]
         if bad:
             raise ValueError(f"model fields {bad} must be finite numbers")
+        if not float(data["n_z"]).is_integer():
+            raise ValueError(f"model field n_z must be an integer, got {data['n_z']!r}")
         return cls(p0=float(data["p0"]), rho=float(data["rho"]), lgd=float(data["lgd"]),
                    n_z=int(data["n_z"]), z_max=float(data["z_max"]))
 

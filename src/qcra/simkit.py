@@ -2,9 +2,8 @@
 
 Amplitudes are indexed with q0 as the most significant bit: qubit q
 occupies bit (n - 1 - q) of the basis index, so an index spells the ket
-left to right (index 6 of a 3-qubit register is |110>). The Q0_LSB order is
-available for callers that want the reversed reading; conversion is a fixed
-index permutation.
+left to right (index 6 of a 3-qubit register is |110>). `convert_bit_order`
+gives the reversed (q0 least significant) reading, a fixed index permutation.
 
 Every simulation goes through one gate kernel, `_dispatch`, which acts on a
 (B, 2^n) buffer of amplitude rows. Each row is one binding of the circuit's
@@ -20,7 +19,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -30,11 +28,6 @@ _TWO_QUBIT = frozenset({"cz", "cnot", "cry"})
 
 MAX_QUBITS = 12
 MAX_UNITARY_QUBITS = 6
-
-
-class BitOrder(Enum):
-    Q0_MSB = "q0_msb"
-    Q0_LSB = "q0_lsb"
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,6 @@ class Circuit:
 
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
-    bit_order: BitOrder = BitOrder.Q0_MSB
 
     def __post_init__(self):
         if not (1 <= self.n_qubits <= MAX_QUBITS):
@@ -114,13 +106,10 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    def count(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
-
 
 @dataclass
 class Statevector:
-    """Normalized complex amplitude vector over 2^n basis states (Q0_MSB indexing)."""
+    """Normalized complex amplitude vector over 2^n basis states (q0 most significant)."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -228,8 +217,8 @@ def batch_probabilities(circuit: Circuit, columns, angles) -> np.ndarray:
     """Born probabilities of the circuit under B angle bindings, one row each.
 
     `angles` is (B, P): angles[b, j] replaces the angle of gate columns[j] in
-    row b, and every other gate keeps its own. Rows are indexed per the
-    circuit's bit_order, like `circuit_probabilities`.
+    row b, and every other gate keeps its own. Rows are indexed like
+    `circuit_probabilities`.
     """
     columns = [operator.index(k) for k in columns]
     angles = np.asarray(angles, dtype=float)
@@ -248,14 +237,11 @@ def batch_probabilities(circuit: Circuit, columns, angles) -> np.ndarray:
     amp[:, 0] = 1.0
     for k, gate in enumerate(circuit.gates):
         _dispatch(amp, n, gate, bound.get(k))
-    p = np.abs(amp) ** 2
-    if circuit.bit_order is BitOrder.Q0_LSB:
-        p = p[:, bit_reversal_permutation(n)]
-    return p
+    return np.abs(amp) ** 2
 
 
 def born_probabilities(state: Statevector) -> np.ndarray:
-    """p_b = |<b|psi>|^2, indexed Q0_MSB like the amplitudes."""
+    """p_b = |<b|psi>|^2, indexed like the amplitudes."""
     p = np.abs(state.amplitudes) ** 2
     return p
 
@@ -270,20 +256,17 @@ def bit_reversal_permutation(n_qubits: int) -> np.ndarray:
 
 
 def convert_bit_order(vec: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Reindex a length-2^n vector between Q0_MSB and Q0_LSB (involution)."""
+    """Reindex a length-2^n vector between q0 most and least significant (involution)."""
     return np.asarray(vec)[bit_reversal_permutation(n_qubits)]
 
 
 def circuit_probabilities(circuit: Circuit, initial: int | str | None = None) -> np.ndarray:
-    """Output probabilities indexed per the circuit's bit_order."""
-    p = born_probabilities(simulate(circuit, initial))
-    if circuit.bit_order is BitOrder.Q0_LSB:
-        p = convert_bit_order(p, circuit.n_qubits)
-    return p
+    """Output probabilities, indexed like the amplitudes."""
+    return born_probabilities(simulate(circuit, initial))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary (Q0_MSB basis); n is capped to keep this cheap."""
+    """Full 2^n x 2^n unitary (q0 most significant); n is capped to keep this cheap."""
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary extraction limited to {MAX_UNITARY_QUBITS} qubits")
@@ -313,7 +296,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         if g.angle is not None:
             entry["angle_deg"] = math.degrees(g.angle)
         gates.append(entry)
-    return {"n_qubits": circuit.n_qubits, "bit_order": circuit.bit_order.value, "gates": gates}
+    return {"n_qubits": circuit.n_qubits, "bit_order": "q0_msb", "gates": gates}
 
 
 def is_finite_real(value) -> bool:
@@ -328,6 +311,8 @@ def circuit_from_dict(data: dict) -> Circuit:
         raise ValueError("a circuit must be a JSON object with a list of gates")
     if type(data["n_qubits"]) is not int:  # a bool or a float is not a qubit count
         raise ValueError(f"n_qubits must be an integer, got {data['n_qubits']!r}")
+    if data.get("bit_order", "q0_msb") != "q0_msb":  # the one order amplitudes are indexed in
+        raise ValueError(f"bit_order must be q0_msb, got {data['bit_order']!r}")
     gates = []
     for entry in data["gates"]:
         if not isinstance(entry, dict):
@@ -338,8 +323,7 @@ def circuit_from_dict(data: dict) -> Circuit:
         if angle is not None and not is_finite_real(angle):
             raise ValueError(f"gate angle_deg must be a finite number, got {angle!r}")
         gates.append(Gate(entry["kind"], tuple(qubits), math.radians(angle) if angle is not None else None))
-    order = BitOrder(data.get("bit_order", "q0_msb"))
-    return Circuit(data["n_qubits"], gates, order)
+    return Circuit(data["n_qubits"], gates)
 
 
 def circuit_to_json(circuit: Circuit) -> str:

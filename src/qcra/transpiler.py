@@ -88,9 +88,21 @@ class CouplingMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CouplingMap":
-        edges = [Edge(e["a"], e["b"], e["tuned"], math.radians(e.get("phase_error_deg", 0.0)))
-                 for e in data["edges"]]
-        return cls(list(data["qubits"]), edges)
+        """The map of a parsed JSON object; a field of the wrong type raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data["edges"], list):
+            raise ValueError("a coupling map must be a JSON object with a list of edges")
+        names = data["qubits"]
+        if not (isinstance(names, list) and all(isinstance(q, str) for q in names)):
+            raise ValueError(f"map qubits must be a list of names, got {names!r}")
+        edges = []
+        for e in data["edges"]:
+            if not (isinstance(e, dict) and all(isinstance(e[k], str) for k in ("a", "b", "tuned"))):
+                raise ValueError(f"each edge must be a JSON object naming a, b and tuned, got {e!r}")
+            phase = e.get("phase_error_deg", 0.0)
+            if not simkit.is_finite_real(phase):
+                raise ValueError(f"edge phase_error_deg must be a finite number, got {phase!r}")
+            edges.append(Edge(e["a"], e["b"], e["tuned"], math.radians(phase)))
+        return cls(names, edges)
 
 
 def contralto_3q() -> CouplingMap:
@@ -132,7 +144,7 @@ def inject_cz_phase(circuit: Circuit, cmap: CouplingMap) -> Circuit:
             wire, phase = cz_phase(cmap, *g.qubits)
             if phase != 0.0:
                 gates.append(Gate.rz(wire, phase))
-    return Circuit(circuit.n_qubits, gates, circuit.bit_order)
+    return Circuit(circuit.n_qubits, gates)
 
 
 def decompose_cnot(control: int, target: int, counter_phase: float = 0.0) -> list[Gate]:
@@ -302,7 +314,7 @@ def route(circuit: Circuit, cmap: CouplingMap,
             raise ValueError(g.kind)
 
     gates = peephole(out)
-    routed = Circuit(n_phys, gates, circuit.bit_order)
+    routed = Circuit(n_phys, gates)
     final = {l: cmap.qubit_names[p] for l, p in enumerate(l2p)}
     return TranspileReport(
         output=routed,

@@ -21,6 +21,11 @@ from .simkit import Circuit
 
 SHIFT = math.pi / 2.0  # parameter-shift offset for RY generators
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class TargetHistogram:
@@ -40,6 +45,11 @@ class TargetHistogram:
 
 
 def make_target(n_qubits: int, mu: float, sigma: float, z_max: float) -> TargetHistogram:
+    """The normal weights exp(-(z - mu)^2 / 2 sigma^2) on the grid, normalised.
+
+    A target whose grid or weights overflow, or whose weights all underflow
+    to zero, raises ValueError.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if z_max <= 0:
@@ -47,9 +57,15 @@ def make_target(n_qubits: int, mu: float, sigma: float, z_max: float) -> TargetH
     if n_qubits not in (2, 3):
         raise ValueError(f"targets are defined for 2 or 3 qubits, got {n_qubits}")
     dim = 2**n_qubits
-    z = -z_max + (2.0 * z_max / (dim - 1)) * np.arange(dim)
-    w = np.exp(-((z - mu) ** 2) / (2.0 * sigma**2))
-    return TargetHistogram(n_qubits, mu, sigma, z_max, w / w.sum())
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            z = -z_max + (2.0 * z_max / (dim - 1)) * np.arange(dim)
+            w = np.exp(-((z - mu) ** 2) / (2.0 * sigma**2))
+            probs = w / w.sum()
+    except FloatingPointError as exc:
+        raise ValueError(f"target N(mu={mu}, sigma={sigma}) on [-{z_max}, {z_max}] "
+                         f"is not representable: {exc}") from None
+    return TargetHistogram(n_qubits, mu, sigma, z_max, probs)
 
 
 def distribution_loss(probs: Sequence[float], target) -> float:
@@ -154,14 +170,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float = 0.1, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(0, np.zeros(n_params), np.zeros(n_params), lr, beta1, beta2, epsilon)
+    def fresh(cls, n_params: int, lr: float = 0.1) -> "AdamState":
+        return cls(0, np.zeros(n_params), np.zeros(n_params), lr)
 
 
 def adam_step(state: AdamState, thetas: Sequence[float], gradient: Sequence[float]) -> tuple[AdamState, np.ndarray]:
@@ -171,21 +183,17 @@ def adam_step(state: AdamState, thetas: Sequence[float], gradient: Sequence[floa
     if g.shape != th.shape or g.shape != state.m.shape:
         raise ValueError("gradient, parameters and moments must share a shape")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_thetas = th - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(t, m, v, state.lr, state.beta1, state.beta2, state.epsilon)
-    return new_state, new_thetas
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new_thetas = th - state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+    return AdamState(t, m, v, state.lr), new_thetas
 
 
 @dataclass
 class TrainConfig:
     lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_iters: int = 2000
     tol: float = 1e-8
     seed: int = 0
@@ -229,7 +237,7 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_qubits)
     initial = thetas.copy()
     circuit, columns, offsets = ry_template(builder, thetas)
-    state = AdamState.fresh(n_qubits, config.lr, config.beta1, config.beta2, config.epsilon)
+    state = AdamState.fresh(n_qubits, config.lr)
     history: list[float] = []
     iterations = 0
     while True:

@@ -10,6 +10,12 @@ BELL = str(Path(__file__).parent / "data" / "bell.json")  # RY(90) q0, CNOT(0, 1
 CHAIN13 = str(Path(__file__).parent / "data" / "chain13.json")  # a 13-qubit linear coupling map
 TRAIN = {"n_qubits": 2, "sigma": 0.8, "z_max": 1.5}
 GATE = {"kind": "ry", "qubits": [0], "angle_deg": 90.0}
+MODEL = {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 2, "z_max": 1.0}
+PAIR = {"qubits": ["a", "b"], "edges": [{"a": "a", "b": "b", "tuned": "b"}]}
+EDGE = PAIR["edges"][0]
+# finite train configs whose target or Adam steps would overflow or underflow
+EXTREME_TRAIN = [TRAIN | {"sigma": 1e-320}, TRAIN | {"z_max": 1e308}, TRAIN | {"mu": 1e308},
+                 TRAIN | {"lr": 1e308}]
 
 
 def run_cli(tmp_path, capsys, *argv):
@@ -67,12 +73,33 @@ class TestSweepInputErrors:
         ["gci", "--model", {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 1e300, "z_max": 1.0}],
         ["gci", "--model", {"p0": 0.25, "rho": 0.027, "lgd": None, "n_z": 2, "z_max": 1.0}],
         ["spam", "--ansatz", "2q", "--thetas", "90,200", "--readout-fidelity", "nan"],
+        ["transpile", "--circuit", BELL, "--map", {"qubits": 5, "edges": []}],
+        ["transpile", "--circuit", BELL, "--map", [PAIR]],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"qubits": ["a", 1]}],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"edges": EDGE}],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"edges": ["a-b"]}],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"edges": [EDGE | {"a": ["a"]}]}],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"edges": [EDGE | {"phase_error_deg": float("inf")}]}],
+        ["gci", "--model", MODEL | {"n_z": 2.7}],
+        ["train", "--config", TRAIN | {"seed": 1.5}],
+        *[["train", "--config", cfg] for cfg in EXTREME_TRAIN],
+        ["sweep", "--preset", "nope"],
+        ["gci", "--preset", "nope"],
+        ["transpile", "--circuit", BELL, "--preset", "nope"],
+        ["gci", "--preset", "paper-gci", "--shots", "abc"],
+        ["train"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
         rc, err = run_cli(tmp_path, capsys, *argv)
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg", EXTREME_TRAIN, ids=["sigma", "z_max", "mu", "lr"])
+    def test_extreme_train_config_names_its_input(self, tmp_path, capsys, cfg):
+        rc, err = run_cli(tmp_path, capsys, "train", "--config", as_arg(tmp_path, "cfg", cfg))
+        assert rc == cli.EXIT_USAGE
+        assert "target" in err or "'lr'" in err
 
     def test_failed_sweep_writes_no_csv(self, tmp_path, capsys):
         rc, _ = run_sweep(tmp_path, capsys, "--preset", "table2-2q", "--shots", "0")
@@ -121,3 +148,42 @@ class TestReruns:
             assert files and files == sorted(f.name for f in runs[1].iterdir() if f.name != "manifest.json")
             for f in files:
                 assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes(), (name, f)
+
+
+class TestProtocol:
+    """Commands compute; main alone writes the report files and then the manifest."""
+
+    COMMANDS = {
+        "train": (["train", "--config", TRAIN | {"max_iters": 3}],
+                  ["train", "--config", TRAIN | {"sigma": -1}]),
+        "sweep": (["sweep", "--ansatz", "2q", "--theta1", "0:90:45"],
+                  ["sweep", "--preset", "table2-2q", "--shots", "0"]),
+        "gci": (["gci", "--preset", "paper-gci"], ["gci", "--preset", "paper-gci", "--shots", "0"]),
+        "transpile": (["transpile", "--circuit", BELL, "--preset", "contralto-3q"],
+                      ["transpile", "--circuit", BELL, "--layout", "D3,XX"]),
+        "spam": (["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "2"],
+                 ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "1"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failure_creates_no_out_dir(self, tmp_path, capsys, command):
+        argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(self.COMMANDS[command][1])]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_lists_the_files_written_in_order(self, tmp_path, capsys, monkeypatch, command):
+        written = []
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", lambda path, payload: (written.append(path.name), write(path, payload)))
+        argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(self.COMMANDS[command][0])]
+        out = tmp_path / "out"
+        rc = cli.main([*argv, "--out-dir", str(out), "--seed", "3"])
+        assert rc == (cli.EXIT_NO_CONVERGENCE if command == "train" else cli.EXIT_OK)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert written == manifest["outputs"] + ["manifest.json"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(written)
+        assert manifest["command"] == [command] and manifest["seed"] == 3
+        assert manifest["started"] <= manifest["finished"]

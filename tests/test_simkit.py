@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcra import simkit
-from qcra.simkit import BitOrder, Circuit, Gate, Statevector
+from qcra.simkit import Circuit, Gate, Statevector
 
 RY = lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
                          [math.sin(t / 2), math.cos(t / 2)]])
@@ -199,7 +199,7 @@ def bound_circuits(draw):
         width = 2 if kind in ("cz", "cnot", "cry") else 1
         qubits = draw(st.permutations(range(n)))[:width]
         gates.append(Gate(kind, tuple(qubits), draw(angle) if kind in ("ry", "rz", "cry") else None))
-    circ = Circuit(n, gates, draw(st.sampled_from(BitOrder)))
+    circ = Circuit(n, gates)
     angled = [k for k, g in enumerate(gates) if g.angle is not None]
     columns = draw(st.permutations(angled))[:draw(st.integers(0, len(angled)))]
     batch = draw(st.integers(1, 8))
@@ -219,7 +219,7 @@ class TestBatchProbabilities:
             gates = list(circ.gates)
             for k, a in zip(columns, bound):
                 gates[k] = Gate(gates[k].kind, gates[k].qubits, float(a))
-            ref = simkit.circuit_probabilities(Circuit(circ.n_qubits, gates, circ.bit_order))
+            ref = simkit.circuit_probabilities(Circuit(circ.n_qubits, gates))
             np.testing.assert_array_equal(row, ref)
 
     @pytest.mark.parametrize("columns, angles, match", [
@@ -267,11 +267,11 @@ class TestBitOrder:
         np.testing.assert_array_equal(perm, [0, 4, 2, 6, 1, 5, 3, 7])
 
     def test_circuit_probabilities_orders(self):
-        circ = Circuit(2, [Gate.ry(0, 1.0), Gate.ry(1, 2.0), Gate.cnot(0, 1)])
-        msb = simkit.circuit_probabilities(circ)
-        circ_lsb = Circuit(2, circ.gates, BitOrder.Q0_LSB)
-        lsb = simkit.circuit_probabilities(circ_lsb)
-        np.testing.assert_allclose(lsb, msb[simkit.bit_reversal_permutation(2)])
+        # reading q0 as the least significant bit is relabelling qubit q as n - 1 - q
+        circ = Circuit(3, [Gate.ry(0, 1.0), Gate.ry(1, 2.0), Gate.cnot(0, 1), Gate.cry(1, 2, 0.7)])
+        mirrored = Circuit(3, [Gate(g.kind, tuple(2 - q for q in g.qubits), g.angle) for g in circ.gates])
+        lsb = simkit.convert_bit_order(simkit.circuit_probabilities(circ), 3)
+        np.testing.assert_allclose(lsb, simkit.circuit_probabilities(mirrored), atol=1e-15)
 
 
 class TestStatevectorValidation:
@@ -287,11 +287,9 @@ class TestStatevectorValidation:
 class TestJsonInterface:
     def test_round_trip(self):
         circ = Circuit(3, [Gate.ry(0, math.radians(90)), Gate.h(1),
-                           Gate.cnot(0, 2), Gate.cry(1, 2, math.radians(-135))],
-                       BitOrder.Q0_LSB)
+                           Gate.cnot(0, 2), Gate.cry(1, 2, math.radians(-135))])
         back = simkit.circuit_from_json(simkit.circuit_to_json(circ))
         assert back.n_qubits == 3
-        assert back.bit_order is BitOrder.Q0_LSB
         assert [g.kind for g in back.gates] == ["ry", "h", "cnot", "cry"]
         assert back.gates[0].angle == pytest.approx(math.pi / 2, abs=1e-15)
         assert back.gates[3].angle == pytest.approx(math.radians(-135), abs=1e-15)
@@ -301,6 +299,12 @@ class TestJsonInterface:
         data = simkit.circuit_to_dict(circ)
         assert data["gates"][0]["angle_deg"] == pytest.approx(180.0)
 
+    def test_bit_order_is_q0_msb_or_absent(self):
+        gates = [{"kind": "x", "qubits": [0]}]
+        for data in ({"n_qubits": 2, "gates": gates}, {"n_qubits": 2, "gates": gates, "bit_order": "q0_msb"}):
+            circ = simkit.circuit_from_dict(data)
+            np.testing.assert_array_equal(simkit.circuit_probabilities(circ), [0.0, 0.0, 1.0, 0.0])
+            assert simkit.circuit_to_dict(circ)["bit_order"] == "q0_msb"
 
     @pytest.mark.parametrize("data, match", [
         ([{"kind": "h", "qubits": [0]}], "JSON object"),
@@ -315,6 +319,8 @@ class TestJsonInterface:
         ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": True}]}, "angle_deg"),
         ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": float("nan")}]}, "angle_deg"),
         ({"n_qubits": 1, "gates": [{"kind": "ry", "qubits": [0], "angle_deg": 10**400}]}, "angle_deg"),
+        ({"n_qubits": 1, "gates": [], "bit_order": "q0_lsb"}, "bit_order"),
+        ({"n_qubits": 1, "gates": [], "bit_order": None}, "bit_order"),
     ])
     def test_rejects_wrong_json_types(self, data, match):
         with pytest.raises(ValueError, match=match):

@@ -48,7 +48,7 @@ def reference_train(n_qubits, target, config):
     builder = variational.loader_builder(n_qubits)
     t = np.asarray(target.probs, dtype=float)
     thetas = np.random.default_rng(config.seed).uniform(0.0, 2.0 * math.pi, size=n_qubits)
-    state = AdamState.fresh(n_qubits, config.lr, config.beta1, config.beta2, config.epsilon)
+    state = AdamState.fresh(n_qubits, config.lr)
     history = [distribution_loss(simkit.circuit_probabilities(builder(thetas)), t)]
     iterations = 0
     while history[-1] >= config.tol and iterations < config.max_iters:
