@@ -33,31 +33,26 @@ class ConcavityClass(Enum):
     UNIFORM = "uniform"
 
 
-def _prepend_x(gates: list[Gate], initial: str | None, n_qubits: int) -> list[Gate]:
-    if initial is None:
-        return gates
-    if len(initial) != n_qubits or set(initial) - {"0", "1"}:
-        raise ValueError(f"initial state must be a {n_qubits}-bit string, got {initial!r}")
-    return [Gate.x(q) for q, bit in enumerate(initial) if bit == "1"] + gates
+_CONCAVITY_CODES = (ConcavityClass.UNIFORM, ConcavityClass.GAUSSIAN_LIKE, ConcavityClass.INVERTED)
 
 
-def build_two_qubit_loader(thetas: Sequence[float], initial: str | None = None) -> Circuit:
-    """RY-RY-CNOT loader; thetas in radians. `initial` optionally prepends X gates."""
+def build_two_qubit_loader(thetas: Sequence[float]) -> Circuit:
+    """RY-RY-CNOT loader; thetas in radians."""
     if len(thetas) != 2:
         raise ValueError(f"two-qubit loader takes 2 angles, got {len(thetas)}")
     t0, t1 = (float(t) for t in thetas)
     gates = [Gate.ry(0, t0), Gate.ry(1, t1), Gate.cnot(0, 1)]
-    return Circuit(2, _prepend_x(gates, initial, 2))
+    return Circuit(2, gates)
 
 
-def build_three_qubit_loader(thetas: Sequence[float], initial: str | None = None) -> Circuit:
+def build_three_qubit_loader(thetas: Sequence[float]) -> Circuit:
     """Three-qubit loader: per-qubit RY column, then CNOT(0,1) and CNOT(0,2)."""
     if len(thetas) != 3:
         raise ValueError(f"three-qubit loader takes 3 angles, got {len(thetas)}")
     t0, t1, t2 = (float(t) for t in thetas)
     gates = [Gate.ry(0, t0), Gate.ry(1, t1), Gate.ry(2, t2),
              Gate.cnot(0, 1), Gate.cnot(0, 2)]
-    return Circuit(3, _prepend_x(gates, initial, 3))
+    return Circuit(3, gates)
 
 
 def two_qubit_amplitudes_analytic(theta0: float, theta1: float) -> np.ndarray:
@@ -126,23 +121,23 @@ def check_symmetry_conditions(theta0: float, theta1: float, theta2: float | None
     return SymmetryReport(symmetric=symmetric, central_mass=central, ring_ordering=ring)
 
 
-def classify_concavity(probs: Sequence[float], tol: float = 1e-3) -> ConcavityClass:
-    """UNIFORM / GAUSSIAN_LIKE / INVERTED by comparing outer and inner pair means."""
+def classify_concavity(probs: Sequence[float], tol: float = 1e-3) -> ConcavityClass | list[ConcavityClass]:
+    """UNIFORM / GAUSSIAN_LIKE / INVERTED by comparing outer and inner pair means.
+
+    Takes one length-4 or length-8 vector, or (B, 4) or (B, 8) rows, for which
+    it returns one label per row; a row gets exactly the arithmetic of a lone call.
+    """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
     p = np.asarray(probs, dtype=float)
-    if p.shape not in ((4,), (8,)):
+    if p.ndim not in (1, 2) or p.shape[-1] not in (4, 8):
         raise ValueError(f"expected a length-4 or length-8 vector, got shape {p.shape}")
-    if float(p.max() - p.min()) < tol:
-        return ConcavityClass.UNIFORM
-    outer = 0.5 * (p[0] + p[-1])
-    mid = len(p) // 2
-    inner = 0.5 * (p[mid - 1] + p[mid])
-    if inner - outer > tol:
-        return ConcavityClass.GAUSSIAN_LIKE
-    if outer - inner > tol:
-        return ConcavityClass.INVERTED
-    return ConcavityClass.UNIFORM
+    mid = p.shape[-1] // 2
+    excess = 0.5 * (p[..., mid - 1] + p[..., mid]) - 0.5 * (p[..., 0] + p[..., -1])  # inner - outer
+    flat = p.max(axis=-1) - p.min(axis=-1) < tol
+    codes = np.where(flat, 0, np.where(excess > tol, 1, np.where(excess < -tol, 2, 0)))
+    labels = [_CONCAVITY_CODES[c] for c in codes.reshape(-1)]
+    return labels if p.ndim == 2 else labels[0]
 
 
 def build_gci_ideal(model: GciModel, loader_thetas: Sequence[float] = (math.pi / 2, math.pi / 2)) -> Circuit:
@@ -168,7 +163,7 @@ def build_gci_ideal(model: GciModel, loader_thetas: Sequence[float] = (math.pi /
     return Circuit(3, gates)
 
 
-def build_gci_transpiled(thetas: Sequence[float], include_counter_phase: bool = True) -> Circuit:
+def build_gci_transpiled(thetas: Sequence[float]) -> Circuit:
     """Hardware-ready circuit: CNOTs lowered to H/CZ/H with fixed phase gates.
 
     thetas = (t0..t4) in radians: loader angles t0, t1, asset preparation t2,
@@ -181,10 +176,12 @@ def build_gci_transpiled(thetas: Sequence[float], include_counter_phase: bool = 
     t0, t1, t2, t3, t4 = (float(t) for t in thetas)
     rz0_pre, rz0_post = (math.radians(d) for d in TRANSPILED_RZ_Q0)
     rz2_pre, rz2_post = (math.radians(d) for d in TRANSPILED_RZ_Q2)
-    gates = [Gate.ry(0, t0), Gate.ry(1, t1), Gate.ry(2, t2), Gate.h(1)]
-    if include_counter_phase:
-        gates.append(Gate.rz(1, math.radians(TRANSPILED_COUNTER_PHASE_DEG)))
-    gates += [
+    gates = [
+        Gate.ry(0, t0),
+        Gate.ry(1, t1),
+        Gate.ry(2, t2),
+        Gate.h(1),
+        Gate.rz(1, math.radians(TRANSPILED_COUNTER_PHASE_DEG)),
         Gate.cz(0, 1),
         Gate.h(1),
         Gate.h(2),

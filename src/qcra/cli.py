@@ -8,8 +8,8 @@ One protocol covers every command. A `cmd_*` function only computes: it
 returns a `Run` holding its report files, its manifest config, its seed and
 its exit code. `main` alone writes: it creates --out-dir, writes the files in
 order and then `manifest.json`, and it writes nothing when the command fails.
-A usage error, from the parser or from a command's input checks, prints one
-`error:` line and returns exit code 2.
+A usage error (from the parser, a command's input checks, or an input file or
+--out-dir the OS refuses) prints one `error:` line and returns exit code 2.
 """
 
 from __future__ import annotations
@@ -135,12 +135,8 @@ def cmd_train(args) -> Run:
         elif not (simkit.is_finite_real(cfg[field]) and (check is None or check(cfg[field]))):
             raise UsageError(f"config field {field!r} has invalid value {cfg[field]!r}")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    train_cfg = variational.TrainConfig(
-        lr=float(cfg.get("lr", 0.1)),
-        max_iters=int(cfg.get("max_iters", 2000)),
-        tol=float(cfg.get("tol", 1e-8)),
-        seed=seed,
-    )
+    casts = {"lr": float, "max_iters": int, "tol": float}  # TrainConfig fields; unset ones keep its defaults
+    train_cfg = variational.TrainConfig(seed=seed, **{k: cast(cfg[k]) for k, cast in casts.items() if k in cfg})
     target = variational.make_target(int(cfg["n_qubits"]), float(cfg.get("mu", 0.0)),
                                      float(cfg["sigma"]), float(cfg["z_max"]))
     report = variational.train_loader(int(cfg["n_qubits"]), target, train_cfg)
@@ -186,15 +182,15 @@ def cmd_sweep(args) -> Run:
     if readout is not None:
         grid_probs = noise.apply_confusion(grid_probs, readout)
 
+    if args.shots is not None:  # each row samples from its own stream
+        grid_probs = np.array([noise.sample_shots(probs, args.shots, np.random.default_rng(stream)).frequencies()
+                               for probs, stream in zip(grid_probs, streams)])
+    labels = circuits.classify_concavity(grid_probs, class_tol)
+
     headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
                + [f"p_{format(b, f'0{n_qubits}b')}" for b in range(2**n_qubits)] + ["class"])
-    rows = [headers]
-    for row_idx, (degs, probs) in enumerate(zip(grid, grid_probs)):
-        if args.shots is not None:
-            rng = np.random.default_rng(streams[row_idx])
-            probs = noise.sample_shots(probs, args.shots, rng).frequencies()
-        label = circuits.classify_concavity(probs, class_tol).value
-        rows.append([repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label])
+    rows = [headers] + [[repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label.value]
+                        for degs, probs, label in zip(grid, grid_probs, labels)]
     config = {"ansatz": ansatz, "theta0": theta0, "theta1": theta1_spec,
               "theta2": theta2_spec, "shots": args.shots, "class_tol": class_tol,
               "preset": args.preset}
@@ -350,22 +346,26 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         run = args.func(args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, payload in run.files.items():
-        _write(out / name, payload)
-    _write(out / "manifest.json", {
-        "command": [args.command],
-        "config": run.config,
-        "seed": run.seed,
-        "version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": list(run.files),
-    })
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # before any write, so a bad --out-dir writes nothing
+        for name, payload in run.files.items():
+            _write(out / name, payload)
+        _write(out / "manifest.json", {
+            "command": [args.command],
+            "config": run.config,
+            "seed": run.seed,
+            "version": __version__,
+            "started": started,
+            "finished": datetime.now(timezone.utc).isoformat(),
+            "outputs": list(run.files),
+        })
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return run.code
 
 

@@ -1,11 +1,17 @@
 """Lowering to the native gate set {RY, RZ, H, X, CZ} under a coupling map.
 
-CNOT(c, t) is realized as H(t) CZ H(t), optionally carrying a counter-phase
-RZ between the leading H and the CZ to cancel the spurious single-qubit
-phase the flux-pulsed CZ leaves on the edge's tuned qubit. Routing is a
-greedy shortest-path SWAP insertion (the instances here are three qubits,
-where that decision space is trivial); the report names the router so the
-output is not mistaken for a search-based result.
+`route` lowers each input gate once, in order. Before a two-qubit gate on an
+uncoupled pair it swaps the first qubit along a BFS shortest path until the
+two are neighbours: a greedy router, enough for three qubits, which the
+report names "greedy-bfs". A SWAP is three CNOTs, CNOT(c, t) is
+H(t) RZ(t) CZ H(t), CRY is two CNOTs between RY(+-a/2) on t, and a native CZ
+passes through. `peephole` then drops RZ(0) and cancels H pairs in one pass.
+
+Counter-phase rule: a CZ leaves its edge's spurious RZ(phase_error) on the
+edge's tuned wire (`cz_phase`). With `counter_phases` set, a lowered CNOT
+whose target is the tuned wire carries RZ(-phase_error) in its RZ slot. A
+CNOT whose control is the tuned wire, and a native CZ, get no correction, so
+those routes miss the ideal circuit under `inject_cz_phase`.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ class CouplingMap:
         for e in self.edges:
             if e.a not in known or e.b not in known:
                 raise ValueError(f"edge {e.a}-{e.b} references unknown qubits")
+        pairs = [frozenset((e.a, e.b)) for e in self.edges]
+        if len(set(pairs)) != len(pairs):
+            raise ValueError("the map lists a pair of qubits in two edges")
 
     def index(self, name: str) -> int:
         try:
@@ -68,23 +77,6 @@ class CouplingMap:
             if {e.a, e.b} == {na, nb}:
                 return e
         return None
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for e in self.edges:
-            ia, ib = self.index(e.a), self.index(e.b)
-            if ia == i:
-                out.append(ib)
-            elif ib == i:
-                out.append(ia)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "qubits": list(self.qubit_names),
-            "edges": [{"a": e.a, "b": e.b, "tuned": e.tuned,
-                       "phase_error_deg": math.degrees(e.phase_error)} for e in self.edges],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CouplingMap":
@@ -162,30 +154,27 @@ def decompose_cry(control: int, target: int, angle: float, counter_phase: float 
 
 
 def peephole(gates: Sequence[Gate]) -> list[Gate]:
-    """Cancel adjacent H pairs on a qubit and drop RZ(0); nothing more aggressive."""
-    work = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate | None] = []
-        last_on: dict[int, int | None] = {}
-        for g in work:
-            if g.kind == "rz" and g.angle == 0.0:
-                changed = True
+    """Drop RZ(0) and cancel adjacent H pairs on a wire; nothing more aggressive.
+
+    One left-to-right pass reaches the fixed point: a cancelled H pair never
+    exposes another H, because the gate before the pair on that wire is not
+    an H (an H there would have cancelled the first of the pair).
+    """
+    out: list[Gate | None] = []
+    last_on: dict[int, int | None] = {}  # wire -> index in out of its last kept gate
+    for g in gates:
+        if g.kind == "rz" and g.angle == 0.0:
+            continue
+        if g.kind == "h":
+            q = g.qubits[0]
+            j = last_on.get(q)
+            if j is not None and out[j].kind == "h":
+                out[j] = last_on[q] = None
                 continue
-            if g.kind == "h":
-                q = g.qubits[0]
-                j = last_on.get(q)
-                if j is not None and out[j] is not None and out[j].kind == "h":
-                    out[j] = None
-                    last_on[q] = None
-                    changed = True
-                    continue
-            out.append(g)
-            for q in g.qubits:
-                last_on[q] = len(out) - 1
-        work = [g for g in out if g is not None]
-    return work
+        out.append(g)
+        for q in g.qubits:
+            last_on[q] = len(out) - 1
+    return [g for g in out if g is not None]
 
 
 def circuit_depth(gates: Sequence[Gate]) -> int:
@@ -208,7 +197,6 @@ class TranspileReport:
     depth: int
     layout: dict[int, str]          # final logical -> physical name
     initial_layout: dict[int, str]
-    router: str = "greedy-bfs"
 
     def to_dict(self) -> dict:
         return {
@@ -217,111 +205,81 @@ class TranspileReport:
             "depth": self.depth,
             "layout": {str(k): v for k, v in self.layout.items()},
             "initial_layout": {str(k): v for k, v in self.initial_layout.items()},
-            "router": self.router,
+            "router": "greedy-bfs",
         }
 
 
 def _bfs_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
+    """A shortest path from src to dst; neighbours are visited in edge-list order."""
+    pairs = [(cmap.index(e.a), cmap.index(e.b)) for e in cmap.edges]
     prev = {src: src}
     queue = deque([src])
-    while queue:
+    while queue and dst not in prev:
         cur = queue.popleft()
-        if cur == dst:
-            path = [cur]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for nxt in cmap.neighbors(cur):
+        for nxt in [b if a == cur else a for a, b in pairs if cur in (a, b)]:
             if nxt not in prev:
                 prev[nxt] = cur
                 queue.append(nxt)
-    raise RoutingError(f"no coupling path between {cmap.qubit_names[src]} and {cmap.qubit_names[dst]}")
+    if dst not in prev:
+        raise RoutingError(f"no coupling path between {cmap.qubit_names[src]} and {cmap.qubit_names[dst]}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
-def route(circuit: Circuit, cmap: CouplingMap,
-          initial_layout: Sequence[str] | dict[int, str] | None = None,
+def route(circuit: Circuit, cmap: CouplingMap, initial_layout: Sequence[str] | None = None,
           counter_phases: bool = True) -> TranspileReport:
     """Map a circuit onto the device graph, inserting SWAPs and lowering gates.
 
-    Every two-qubit gate in the output acts on a coupled pair. SWAPs are three
-    CZ-decomposed CNOTs along a BFS shortest path. When `counter_phases` is
-    set, each lowered CNOT whose target is its edge's tuned qubit carries the
-    RZ(-phase_error) correction.
+    `initial_layout` names the physical qubit of each logical one (default:
+    logical l on physical l). Every output two-qubit gate acts on a coupled pair.
     """
-    n_phys = len(cmap.qubit_names)
-    if circuit.n_qubits > n_phys:
-        raise RoutingError(f"circuit needs {circuit.n_qubits} qubits, map has {n_phys}")
-    if initial_layout is None:
-        l2p = list(range(circuit.n_qubits))
-    elif isinstance(initial_layout, dict):
-        l2p = [cmap.index(initial_layout[l]) for l in range(circuit.n_qubits)]
-    else:
-        l2p = [cmap.index(name) for name in initial_layout][: circuit.n_qubits]
-        if len(l2p) != circuit.n_qubits:
-            raise RoutingError("initial layout shorter than the circuit register")
-    if len(set(l2p)) != len(l2p):
+    n, n_phys = circuit.n_qubits, len(cmap.qubit_names)
+    if n > n_phys:
+        raise RoutingError(f"circuit needs {n} qubits, map has {n_phys}")
+    l2p = list(range(n)) if initial_layout is None else [cmap.index(q) for q in initial_layout][:n]
+    if len(l2p) != n:
+        raise RoutingError("initial layout shorter than the circuit register")
+    if len(set(l2p)) != n:
         raise RoutingError("initial layout maps two logical qubits to one physical qubit")
     initial = {l: cmap.qubit_names[p] for l, p in enumerate(l2p)}
-
-    out: list[Gate] = []
-    swap_count = 0
+    l2p += [p for p in range(n_phys) if p not in l2p]  # idle wires take the spare slots
 
     def counter_for(pc: int, pt: int) -> float:
         wire, phase = cz_phase(cmap, pc, pt)
         return -phase if counter_phases and wire == pt else 0.0
 
-    def emit_cnot(pc: int, pt: int):
-        out.extend(decompose_cnot(pc, pt, counter_for(pc, pt)))
-
-    def emit_swap(pa: int, pb: int):
-        nonlocal swap_count
-        emit_cnot(pa, pb)
-        emit_cnot(pb, pa)
-        emit_cnot(pa, pb)
-        swap_count += 1
-
-    def bring_adjacent(la: int, lb: int) -> tuple[int, int]:
-        pa, pb = l2p[la], l2p[lb]
-        path = _bfs_path(cmap, pa, pb)
-        p2l = {p: l for l, p in enumerate(l2p)}
-        for step in range(len(path) - 2):
-            u, v = path[step], path[step + 1]
-            emit_swap(u, v)
-            lu, lv = p2l.get(u), p2l.get(v)
-            if lu is not None:
-                l2p[lu] = v
-            if lv is not None:
-                l2p[lv] = u
-            p2l = {p: l for l, p in enumerate(l2p)}
-        return l2p[la], l2p[lb]
-
+    out: list[Gate] = []
+    swap_count = 0
     for g in circuit.gates:
         if len(g.qubits) == 1:
             out.append(Gate(g.kind, (l2p[g.qubits[0]],), g.angle))
             continue
         la, lb = g.qubits
+        if cmap.edge_between(l2p[la], l2p[lb]) is None:
+            path = _bfs_path(cmap, l2p[la], l2p[lb])
+            for u, v in zip(path[:-2], path[1:-1]):
+                for c, t in ((u, v), (v, u), (u, v)):
+                    out += decompose_cnot(c, t, counter_for(c, t))
+                i, j = l2p.index(u), l2p.index(v)
+                l2p[i], l2p[j] = v, u
+            swap_count += len(path) - 2
         pa, pb = l2p[la], l2p[lb]
-        if cmap.edge_between(pa, pb) is None:
-            pa, pb = bring_adjacent(la, lb)
         if g.kind == "cz":
             out.append(Gate.cz(pa, pb))
         elif g.kind == "cnot":
-            emit_cnot(pa, pb)
-        elif g.kind == "cry":
-            cp = counter_for(pa, pb)
-            out.extend(decompose_cry(pa, pb, g.angle, cp))
-        else:  # unreachable: the gate set has no other two-qubit kinds
-            raise ValueError(g.kind)
+            out += decompose_cnot(pa, pb, counter_for(pa, pb))
+        else:
+            out += decompose_cry(pa, pb, g.angle, counter_for(pa, pb))
 
     gates = peephole(out)
-    routed = Circuit(n_phys, gates)
-    final = {l: cmap.qubit_names[p] for l, p in enumerate(l2p)}
     return TranspileReport(
-        output=routed,
+        output=Circuit(n_phys, gates),
         swap_count=swap_count,
         cz_count=sum(1 for g in gates if g.kind == "cz"),
         depth=circuit_depth(gates),
-        layout=final,
+        layout={l: cmap.qubit_names[p] for l, p in enumerate(l2p[:n])},
         initial_layout=initial,
     )
 

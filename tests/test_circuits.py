@@ -10,10 +10,10 @@ from qcra.finmodel import GciModel
 DEG = math.radians
 
 
-def loader_probs(thetas_deg, initial=None):
+def loader_probs(thetas_deg):
     rads = [DEG(d) for d in thetas_deg]
-    circ = (circuits.build_two_qubit_loader(rads, initial) if len(rads) == 2
-            else circuits.build_three_qubit_loader(rads, initial))
+    circ = (circuits.build_two_qubit_loader(rads) if len(rads) == 2
+            else circuits.build_three_qubit_loader(rads))
     return simkit.circuit_probabilities(circ)
 
 
@@ -59,14 +59,6 @@ class TestLoaders:
         for b in range(4):
             assert probs[b] == pytest.approx(probs[7 - b], abs=1e-12)
         assert probs[0] < probs[1] < probs[2] < probs[3]
-
-    def test_initial_state_flag(self):
-        circ = circuits.build_two_qubit_loader([DEG(90), DEG(409)], initial="11")
-        assert [g.kind for g in circ.gates[:2]] == ["x", "x"]
-        probs = simkit.circuit_probabilities(circ)
-        assert probs[1] == pytest.approx(probs[2], abs=1e-12)
-        with pytest.raises(ValueError):
-            circuits.build_two_qubit_loader([0.1, 0.2], initial="012")
 
 
 class TestAnalyticAmplitudes:
@@ -166,6 +158,23 @@ class TestConcavity:
             else:
                 assert label is ConcavityClass.INVERTED, t1
 
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_rows_get_the_labels_of_lone_calls(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        rows = rng.dirichlet(np.ones(2**n_qubits), size=200)
+        rows[:50] = rows[:50, ::-1] + rows[:50]  # symmetric rows, nearer the tolerance
+        rows[50:60] = 1.0 / 2**n_qubits
+        for tol in (0.0, 1e-3, 0.05):
+            labels = circuits.classify_concavity(rows, tol)
+            assert labels == [circuits.classify_concavity(r, tol) for r in rows]
+            assert set(labels) == set(ConcavityClass)
+        with pytest.raises(ValueError, match="length-4 or length-8"):
+            circuits.classify_concavity(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="length-4 or length-8"):
+            circuits.classify_concavity(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError, match="tol"):
+            circuits.classify_concavity(rows, -1.0)
+
     def test_eight_state_classification(self):
         assert circuits.classify_concavity(loader_probs([90, 212.5, 104.5]),
                                            tol=1e-9) is ConcavityClass.GAUSSIAN_LIKE
@@ -229,7 +238,8 @@ class TestGciTranspiled:
         from qcra.simkit import Circuit, Gate
 
         thetas = self.PAPER_THETAS
-        stripped = circuits.build_gci_transpiled(thetas, include_counter_phase=False)
+        full = circuits.build_gci_transpiled(thetas)
+        stripped = Circuit(3, full.gates[:4] + full.gates[5:])  # without gate 4, the counter-phase
         reference = Circuit(3, [
             Gate.ry(0, thetas[0]), Gate.ry(1, thetas[1]), Gate.ry(2, thetas[2]),
             Gate.cnot(0, 1), Gate.cnot(0, 2),

@@ -8,6 +8,7 @@ from qcra import cli
 TOO_MANY_SHOTS = str(10**23)  # beyond the C long numpy's multinomial takes
 BELL = str(Path(__file__).parent / "data" / "bell.json")  # RY(90) q0, CNOT(0, 1)
 CHAIN13 = str(Path(__file__).parent / "data" / "chain13.json")  # a 13-qubit linear coupling map
+DATA_DIR = str(Path(__file__).parent / "data")  # a directory where an input file is expected
 TRAIN = {"n_qubits": 2, "sigma": 0.8, "z_max": 1.5}
 GATE = {"kind": "ry", "qubits": [0], "angle_deg": 90.0}
 MODEL = {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 2, "z_max": 1.0}
@@ -19,7 +20,8 @@ EXTREME_TRAIN = [TRAIN | {"sigma": 1e-320}, TRAIN | {"z_max": 1e308}, TRAIN | {"
 
 
 def run_cli(tmp_path, capsys, *argv):
-    rc = cli.main([*argv, "--out-dir", str(tmp_path)])
+    """Run `argv` with --out-dir tmp_path, unless argv names its own --out-dir."""
+    rc = cli.main([argv[0], "--out-dir", str(tmp_path), *argv[1:]])
     return rc, capsys.readouterr().err
 
 
@@ -88,6 +90,14 @@ class TestSweepInputErrors:
         ["transpile", "--circuit", BELL, "--preset", "nope"],
         ["gci", "--preset", "paper-gci", "--shots", "abc"],
         ["train"],
+        ["train", "--config", DATA_DIR],
+        ["gci", "--model", DATA_DIR],
+        ["transpile", "--circuit", DATA_DIR],
+        ["transpile", "--circuit", BELL, "--map", DATA_DIR],
+        ["transpile", "--circuit", BELL, "--map", PAIR | {"edges": [EDGE, {"a": "b", "b": "a", "tuned": "a",
+                                                                           "phase_error_deg": 20.0}]}],
+        ["sweep", "--preset", "table2-2q", "--out-dir", BELL],
+        ["sweep", "--preset", "table2-2q", "--out-dir", str(Path(BELL) / "sub")],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
@@ -172,6 +182,15 @@ class TestProtocol:
         assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_the_os_refuses_writes_nothing(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        rc = cli.main(["sweep", "--preset", "table2-2q", "--out-dir", str(blocker / sub)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_manifest_lists_the_files_written_in_order(self, tmp_path, capsys, monkeypatch, command):
