@@ -6,9 +6,10 @@ no timestamps, so reruns with the same seed are byte-identical.
 
 One protocol covers every command. A `cmd_*` function only computes: it
 returns a `Run` holding its report files, its manifest config, its seed and
-its exit code. `main` alone writes: it creates --out-dir, writes the files in
-order and then `manifest.json`, and it writes nothing when the command fails.
-A usage error (from the parser, a command's input checks, or an input file or
+its exit code. `main` alone writes: it renders every file to text, then
+creates --out-dir and writes the files in order and then `manifest.json`, and
+it writes nothing when the command fails. A usage error (from the parser, a
+command's input checks, a report holding NaN or Infinity, or an input file or
 --out-dir the OS refuses) prints one `error:` line and returns exit code 2.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -315,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trans = sub.add_parser("transpile", help="route a circuit onto a coupling map")
     p_trans.add_argument("--circuit", required=True, help="circuit JSON file")
-    p_trans.add_argument("--map", default=None, help="coupling map JSON file")
-    p_trans.add_argument("--preset", choices=["contralto-3q"], default=None)
+    target = p_trans.add_mutually_exclusive_group()
+    target.add_argument("--map", default=None, help="coupling map JSON file")
+    target.add_argument("--preset", choices=["contralto-3q"], default=None)
     p_trans.add_argument("--layout", default=None, help="comma-separated physical names per logical qubit")
     common(p_trans)
     p_trans.set_defaults(func=cmd_transpile)
@@ -333,12 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: Path, payload: dict | list):
+def _render(name: str, payload: dict | list) -> str:
+    """A report's file text: indented JSON for a dict, CSV for a list of rows.
+
+    A non-finite number in a JSON payload raises UsageError: NaN and Infinity
+    are not JSON.
+    """
+    if isinstance(payload, dict):
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise UsageError(f"{name} would hold a non-finite number ({exc})") from None
+    buf = io.StringIO()
+    csv.writer(buf).writerows(payload)
+    return buf.getvalue()
+
+
+def _write(path: Path, text: str):
     with open(path, "w", newline="") as fh:
-        if isinstance(payload, dict):
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            csv.writer(fh).writerows(payload)
+        fh.write(text)
 
 
 def main(argv=None) -> int:
@@ -346,15 +362,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         run = args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)  # before any write, so a bad --out-dir writes nothing
-        for name, payload in run.files.items():
-            _write(out / name, payload)
-        _write(out / "manifest.json", {
+        manifest = {
             "command": [args.command],
             "config": run.config,
             "seed": run.seed,
@@ -362,7 +370,16 @@ def main(argv=None) -> int:
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": list(run.files),
-        })
+        }
+        texts = {name: _render(name, payload) for name, payload in (run.files | {"manifest.json": manifest}).items()}
+    except (UsageError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # after rendering and before any write, so a failure writes nothing
+        for name, text in texts.items():
+            _write(out / name, text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

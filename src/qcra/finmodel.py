@@ -5,12 +5,16 @@ is linearized around z = 0 in arcsin-sqrt space, giving the slope/offset pair
 (alpha, beta) with PD(z) ~ sin^2(alpha z + beta). On an n-qubit grid over
 [-z_max, z_max] the pair is rescaled to (alpha_tilde, beta_tilde) so the
 rotation angle depends affinely on the encoded integer.
+
+Phi^-1 is the standard library's `statistics.NormalDist().inv_cdf` (Wichura's
+AS241, within 1e-15 relative of mpmath); Phi is computed from `math.erfc`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 from .simkit import MAX_QUBITS, is_finite_real
 
@@ -24,39 +28,14 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-# Rational approximation coefficients (relative error < 1.2e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF: rational estimate plus one Halley step."""
+    """Inverse standard normal CDF (Wichura's AS241, via statistics.NormalDist)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile requires p in (0, 1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Halley refinement against the erfc-based CDF
-    e = normal_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def linearize(p0: float, rho: float) -> tuple[float, float, float]:
@@ -71,6 +50,8 @@ def linearize(p0: float, rho: float) -> tuple[float, float, float]:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     psi = normal_quantile(p0) / math.sqrt(1.0 - rho)
     phi_psi = normal_cdf(psi)
+    if not 0.0 < phi_psi < 1.0:  # the slope divides by sqrt(Phi(psi) (1 - Phi(psi)))
+        raise ValueError(f"p0 = {p0} and rho = {rho} put Phi(psi) = {phi_psi} at the edge of (0, 1)")
     beta = math.asin(math.sqrt(phi_psi))
     alpha = (-(1.0 / math.sqrt(1.0 - phi_psi))
              * (1.0 / (2.0 * math.sqrt(phi_psi)))

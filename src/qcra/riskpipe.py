@@ -37,8 +37,10 @@ class RegisterLayout:
             raise ValueError("z bits must form the rightmost block")
         if len(self.lgd_per_asset) != len(self.asset_bits):
             raise ValueError("one LGD per asset bit")
-        if not all(0.0 <= lgd < math.inf for lgd in self.lgd_per_asset):
-            raise ValueError(f"LGDs must be finite and nonnegative, got {self.lgd_per_asset}")
+        # every decoded loss is a sum of LGDs rounded on cents, so the largest must stay finite
+        if not (all(lgd >= 0.0 for lgd in self.lgd_per_asset)
+                and math.isfinite(100.0 * sum(self.lgd_per_asset))):
+            raise ValueError(f"LGDs must be nonnegative with a finite total in cents, got {self.lgd_per_asset}")
 
     @property
     def n_bits(self) -> int:

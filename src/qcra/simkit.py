@@ -3,13 +3,15 @@
 Amplitudes are indexed with q0 as the most significant bit: qubit q
 occupies bit (n - 1 - q) of the basis index, so an index spells the ket
 left to right (index 6 of a 3-qubit register is |110>). `convert_bit_order`
-gives the reversed (q0 least significant) reading, a fixed index permutation.
+gives the reversed (q0 least significant) reading: it transposes the vector
+viewed as a (2, ..., 2) array.
 
 Every simulation goes through one gate kernel, `_dispatch`, which acts on a
 (B, 2^n) buffer of amplitude rows. Each row is one binding of the circuit's
 angles (or one input state), and viewing the buffer as a (B, 2, ..., 2)
 array puts qubit q on axis q + 1. A single statevector is a one-row batch;
-`batch_probabilities` binds many angle sets at once.
+`batch_probabilities` binds many angle sets at once. Circuits always run from
+|0...0>; `apply_gate` takes any other input state.
 """
 
 from __future__ import annotations
@@ -129,23 +131,6 @@ class Statevector:
         return sv
 
 
-def zero_state(n_qubits: int) -> Statevector:
-    return basis_state(n_qubits, 0)
-
-
-def basis_state(n_qubits: int, index_or_bits: int | str) -> Statevector:
-    """|b> for an integer index or a bitstring read as |q0 q1 ...>."""
-    if isinstance(index_or_bits, str):
-        if len(index_or_bits) != n_qubits:
-            raise ValueError("bitstring length must equal n_qubits")
-        index = int(index_or_bits, 2)
-    else:
-        index = int(index_or_bits)
-    amp = np.zeros(2**n_qubits, dtype=np.complex128)
-    amp[index] = 1.0
-    return Statevector(n_qubits, amp)
-
-
 def kernel_backend() -> str:
     """Name of the gate-kernel implementation; numpy is the only one."""
     return "python"
@@ -204,9 +189,11 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return out
 
 
-def simulate(circuit: Circuit, initial: int | str | None = None) -> Statevector:
-    """Run the whole circuit from |0...0> (or a given basis state)."""
-    state = zero_state(circuit.n_qubits) if initial is None else basis_state(circuit.n_qubits, initial)
+def simulate(circuit: Circuit) -> Statevector:
+    """Run the whole circuit from |0...0>."""
+    zero = np.zeros(2**circuit.n_qubits, dtype=np.complex128)
+    zero[0] = 1.0
+    state = Statevector(circuit.n_qubits, zero)
     amp = state.amplitudes[None]
     for gate in circuit.gates:
         _dispatch(amp, circuit.n_qubits, gate)
@@ -246,23 +233,14 @@ def born_probabilities(state: Statevector) -> np.ndarray:
     return p
 
 
-def bit_reversal_permutation(n_qubits: int) -> np.ndarray:
-    """perm[i] = index with the n-bit binary expansion of i reversed."""
-    idx = np.arange(2**n_qubits)
-    perm = np.zeros_like(idx)
-    for b in range(n_qubits):
-        perm |= ((idx >> b) & 1) << (n_qubits - 1 - b)
-    return perm
-
-
 def convert_bit_order(vec: np.ndarray, n_qubits: int) -> np.ndarray:
     """Reindex a length-2^n vector between q0 most and least significant (involution)."""
-    return np.asarray(vec)[bit_reversal_permutation(n_qubits)]
+    return np.asarray(vec).reshape((2,) * n_qubits).T.reshape(-1)
 
 
-def circuit_probabilities(circuit: Circuit, initial: int | str | None = None) -> np.ndarray:
-    """Output probabilities, indexed like the amplitudes."""
-    return born_probabilities(simulate(circuit, initial))
+def circuit_probabilities(circuit: Circuit) -> np.ndarray:
+    """Output probabilities of the circuit run from |0...0>, indexed like the amplitudes."""
+    return born_probabilities(simulate(circuit))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

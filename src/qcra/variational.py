@@ -62,7 +62,7 @@ def make_target(n_qubits: int, mu: float, sigma: float, z_max: float) -> TargetH
             z = -z_max + (2.0 * z_max / (dim - 1)) * np.arange(dim)
             w = np.exp(-((z - mu) ** 2) / (2.0 * sigma**2))
             probs = w / w.sum()
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # OverflowError: Python-float sigma**2
         raise ValueError(f"target N(mu={mu}, sigma={sigma}) on [-{z_max}, {z_max}] "
                          f"is not representable: {exc}") from None
     return TargetHistogram(n_qubits, mu, sigma, z_max, probs)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from qcra import cli
 TOO_MANY_SHOTS = str(10**23)  # beyond the C long numpy's multinomial takes
 BELL = str(Path(__file__).parent / "data" / "bell.json")  # RY(90) q0, CNOT(0, 1)
 CHAIN13 = str(Path(__file__).parent / "data" / "chain13.json")  # a 13-qubit linear coupling map
+LINE5 = str(Path(__file__).parent / "data" / "line5.json")  # a 5-qubit linear coupling map
 DATA_DIR = str(Path(__file__).parent / "data")  # a directory where an input file is expected
 TRAIN = {"n_qubits": 2, "sigma": 0.8, "z_max": 1.5}
 GATE = {"kind": "ry", "qubits": [0], "angle_deg": 90.0}
@@ -98,6 +100,12 @@ class TestSweepInputErrors:
                                                                            "phase_error_deg": 20.0}]}],
         ["sweep", "--preset", "table2-2q", "--out-dir", BELL],
         ["sweep", "--preset", "table2-2q", "--out-dir", str(Path(BELL) / "sub")],
+        ["gci", "--model", MODEL | {"rho": 0.999999}],
+        ["gci", "--model", MODEL | {"p0": 1 - 2**-53}],
+        ["gci", "--model", MODEL | {"p0": 1e-320}],
+        ["gci", "--model", MODEL | {"lgd": 1e308}],
+        ["train", "--config", TRAIN | {"sigma": 1e308}],
+        ["transpile", "--circuit", BELL, "--preset", "contralto-3q", "--map", LINE5],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
@@ -181,6 +189,20 @@ class TestProtocol:
         out = tmp_path / "out"
         assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_report_creates_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        pipeline = cli.riskpipe.run_gci_pipeline
+
+        def infinite_loss(*args, **kwargs):
+            dist, report = pipeline(*args, **kwargs)
+            return dist, report | {"expected_loss": math.inf}
+
+        monkeypatch.setattr(cli.riskpipe, "run_gci_pipeline", infinite_loss)
+        out = tmp_path / "out"
+        assert cli.main(["gci", "--preset", "paper-gci", "--out-dir", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: gci_report.json") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"])

@@ -58,6 +58,17 @@ class TestNormalFunctions:
             with pytest.raises(ValueError):
                 normal_quantile(bad)
 
+    def test_quantile_against_mpmath(self):
+        import mpmath as mp
+
+        ps = [float(p) for p in np.logspace(-300, -1, 60)] + [float(1 - q) for q in np.logspace(-12, -1, 23)]
+        ps += [0.49999998, 0.5 - 2**-30, 0.5 + 1e-9, 0.5 + 2**-20, 0.4999, 0.5001]
+        with mp.workdps(40):
+            for p in ps:
+                x = normal_quantile(p)
+                ref = mp.findroot(lambda t: mp.ncdf(t) - mp.mpf(p), mp.mpf(x))
+                assert abs(float((x - ref) / ref)) <= 1e-15, p
+
     def test_cdf_against_mpmath(self):
         import mpmath as mp
 
@@ -101,6 +112,12 @@ class TestLinearize:
             linearize(0.25, 1.0)
         with pytest.raises(ValueError):
             linearize(0.0, 0.1)
+
+    @pytest.mark.parametrize("p0, rho", [(0.25, 0.999999), (1 - 2**-53, 0.027), (1e-320, 0.027)])
+    def test_phi_psi_at_the_edge_rejected(self, p0, rho):
+        # Phi(psi) rounds to 0 or 1, where the slope divides by zero
+        with pytest.raises(ValueError, match="p0 = .* and rho = "):
+            linearize(p0, rho)
 
 
 class TestPdFunctions:

@@ -99,7 +99,15 @@ class TestDecodeCounts:
         with pytest.raises(ValueError, match="expected 8 outcome weights"):
             riskpipe.decode_counts(noise.sample_shots(np.full(4, 0.25), 10), layout)
 
-    @pytest.mark.parametrize("lgd", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("lgd", [-1.0, math.inf, math.nan, 1e308])
     def test_layout_rejects_lgds_outside_the_maths(self, lgd):
         with pytest.raises(ValueError, match="LGDs"):
             riskpipe.RegisterLayout((0,), (1,), (lgd,))
+
+    def test_layout_rejects_a_total_loss_beyond_floats_in_cents(self):
+        # the largest decoded loss is the LGD total, rounded on cents
+        with pytest.raises(ValueError, match="LGDs"):
+            riskpipe.RegisterLayout((0, 1), (2,), (1e306, 1e306))
+        layout = riskpipe.RegisterLayout((0, 1), (2,), (1e305, 1e305))
+        dist = riskpipe.decode_counts(np.full(8, 1 / 8), layout)
+        assert np.all(np.isfinite(dist.losses)) and math.isfinite(dist.expected_loss)

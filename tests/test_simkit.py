@@ -56,28 +56,28 @@ class TestGateValidation:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
             Circuit(2, [Gate.ry(2, 0.1)])
-        state = simkit.zero_state(2)
+        state = Statevector(2, [1, 0, 0, 0])
         with pytest.raises(ValueError):
             simkit.apply_gate(state, Gate.ry(5, 0.1))
 
 
 class TestApplyGate:
     def test_ry_zero_is_identity(self):
-        out = simkit.apply_gate(simkit.zero_state(1), Gate.ry(0, 0.0))
+        out = simkit.apply_gate(Statevector(1, [1, 0]), Gate.ry(0, 0.0))
         np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
 
     def test_ry_pi_flips(self):
-        out = simkit.apply_gate(simkit.zero_state(1), Gate.ry(0, math.pi))
+        out = simkit.apply_gate(Statevector(1, [1, 0]), Gate.ry(0, math.pi))
         np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
 
     def test_cnot_truth_table(self):
+        ket = lambda bits: Statevector(2, np.eye(4)[int(bits, 2)])  # |q0 q1>, q0 most significant
         for src, dst in (("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")):
-            out = simkit.apply_gate(simkit.basis_state(2, src), Gate.cnot(0, 1))
-            np.testing.assert_allclose(out.amplitudes, simkit.basis_state(2, dst).amplitudes,
-                                       atol=1e-15)
+            out = simkit.apply_gate(ket(src), Gate.cnot(0, 1))
+            np.testing.assert_allclose(out.amplitudes, ket(dst).amplitudes, atol=1e-15)
 
     def test_apply_copies(self):
-        state = simkit.zero_state(1)
+        state = Statevector(1, [1, 0])
         simkit.apply_gate(state, Gate.x(0))
         np.testing.assert_allclose(state.amplitudes, [1, 0])
 
@@ -140,7 +140,7 @@ class TestBornProbabilities:
         np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-15)
 
     def test_zero_state(self):
-        probs = simkit.born_probabilities(simkit.zero_state(3))
+        probs = simkit.born_probabilities(simkit.simulate(Circuit(3)))  # simulate starts from |000>
         np.testing.assert_allclose(probs, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_nonnegative_and_normalized(self):
@@ -184,8 +184,9 @@ class TestCircuitUnitary:
             n = int(rng.integers(1, 7))
             circ = random_circuit(n, int(rng.integers(0, 15)), rng)
             u = simkit.circuit_unitary(circ)
-            for j in range(2**n):
-                np.testing.assert_array_equal(u[:, j], simkit.simulate(circ, j).amplitudes)
+            for j in range(2**n):  # X gates prepare |j> from |0...0>
+                prep = [Gate.x(q) for q in range(n) if j >> (n - 1 - q) & 1]
+                np.testing.assert_array_equal(u[:, j], simkit.simulate(Circuit(n, prep + circ.gates)).amplitudes)
 
 
 @st.composite
@@ -263,7 +264,7 @@ class TestBitOrder:
             np.testing.assert_array_equal(back, vec)
 
     def test_fixed_permutation(self):
-        perm = simkit.bit_reversal_permutation(3)
+        perm = simkit.convert_bit_order(np.arange(8), 3)
         np.testing.assert_array_equal(perm, [0, 4, 2, 6, 1, 5, 3, 7])
 
     def test_circuit_probabilities_orders(self):

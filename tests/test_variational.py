@@ -91,6 +91,8 @@ class TestMakeTarget:
             make_target(2, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             make_target(4, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="not representable"):  # Python-float sigma**2 overflows
+            make_target(2, 0.0, 1e308, 1.0)
 
 
 class TestDistributionLoss:
