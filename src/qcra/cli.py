@@ -21,6 +21,8 @@ import functools
 import io
 import json
 import math
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,8 +64,8 @@ MAX_GRID_POINTS = 100_000
 # Cap on spam repetitions, which are all allocated up front; the default is 100.
 MAX_REPS = 100_000
 
-# Cap on a train config's max_iters (default 2000): about 20 s of 3q fitting at
-# the 0.2 ms per Adam step measured on a 2-vCPU x86-64 VM.
+# Cap on a train config's max_iters (default 2000): about 10 s of 3q fitting at
+# the 0.1 ms per Adam step measured through `main` on a 2-vCPU x86-64 VM.
 MAX_ITERS = 100_000
 
 # Cap on a train config's lr (default 0.1): an Adam step moves an angle by
@@ -179,8 +181,8 @@ def cmd_sweep(args) -> Run:
 
     # one batched simulation binds every grid point into the loader's template
     rad = np.array([[math.radians(d) for d in degs] for degs in grid])
-    circuit, columns, offsets = variational.ry_template(build, rad[0])
-    grid_probs = simkit.batch_probabilities(circuit, columns, rad + offsets)
+    template, params, offsets = variational.ry_template(build, rad[0])
+    grid_probs = template.probabilities(rad[:, params] + offsets)
     if readout is not None:
         grid_probs = noise.apply_confusion(grid_probs, readout)
 
@@ -352,6 +354,13 @@ def _render(name: str, payload: dict | list) -> str:
     return buf.getvalue()
 
 
+@functools.cache
+def environment() -> dict:
+    """The Python and numpy versions, platform and core count, computed once per process."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "cpu_count": os.cpu_count()}
+
+
 def _write(path: Path, text: str):
     with open(path, "w", newline="") as fh:
         fh.write(text)
@@ -367,6 +376,7 @@ def main(argv=None) -> int:
             "config": run.config,
             "seed": run.seed,
             "version": __version__,
+            "environment": environment(),
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": list(run.files),

@@ -6,12 +6,15 @@ left to right (index 6 of a 3-qubit register is |110>). `convert_bit_order`
 gives the reversed (q0 least significant) reading: it transposes the vector
 viewed as a (2, ..., 2) array.
 
-Every simulation goes through one gate kernel, `_dispatch`, which acts on a
-(B, 2^n) buffer of amplitude rows. Each row is one binding of the circuit's
+Every simulation runs one lowered form, `Template`: a circuit whose gates
+are lowered once to operations on a (B, 2^n) buffer of amplitude rows, with
+the angles of chosen gates left open. Each row is one binding of those
 angles (or one input state), and viewing the buffer as a (B, 2, ..., 2)
-array puts qubit q on axis q + 1. A single statevector is a one-row batch;
-`batch_probabilities` binds many angle sets at once. Circuits always run from
-|0...0>; `apply_gate` takes any other input state.
+array puts qubit q on axis q + 1. A 2x2 gate combines its target's two
+halves, X and CNOT swap them, and CZ negates one quarter. `simulate`,
+`apply_gate` and `circuit_unitary` run a template with no open angles;
+training, gradients and sweeps bind many angle sets into one template.
+Circuits always run from |0...0>; `apply_gate` takes any other input state.
 """
 
 from __future__ import annotations
@@ -136,47 +139,121 @@ def kernel_backend() -> str:
     return "python"
 
 
-def _apply_2x2(v: np.ndarray, axis: int, u00, u01, u10, u11):
-    """Apply [[u00, u01], [u10, u11]] in place along one axis of an amplitude view."""
-    lead = (slice(None),) * axis
-    i0, i1 = lead + (0,), lead + (1,)
-    a0 = v[i0].copy()
-    a1 = v[i1].copy()
-    v[i0] = u00 * a0 + u01 * a1
-    v[i1] = u10 * a0 + u11 * a1
+_MIX, _SWAP, _NEGATE = range(3)  # lowered gate kinds: a 2x2 mix, X or CNOT, CZ
 
 
-def _dispatch(amp: np.ndarray, n: int, gate: Gate, angles: np.ndarray | None = None):
-    """Apply one gate in place on a contiguous complex128 (B, 2^n) buffer.
+def _lower(gate: Gate, n: int, column: int | None) -> tuple:
+    """One gate as (kind, i0, i1, u) on the (B, 2, ..., 2) view of an amplitude buffer.
 
-    `angles`, a (B,) column, replaces an RY/RZ/CRY gate's angle row by row.
+    i0 and i1 index the target = 0 and target = 1 halves, with a control's
+    = 1 index folded in. A mix's u is its four matrix entries, or for a
+    bound gate the column whose per-row entries `Template._bind` computes.
     """
-    v = amp.reshape((len(amp),) + (2,) * n)  # a view with qubit q on axis q + 1
-    kind, target = gate.kind, gate.qubits[-1] + 1
+    index = [slice(None)] * (max(gate.qubits) + 2)
     if len(gate.qubits) == 2:
-        # CZ, CNOT and CRY act on the control = 1 half, a view without the control axis
-        control = gate.qubits[0] + 1
-        v = v[(slice(None),) * control + (1,)]
-        target -= target > control
-    if kind in _ANGLED:
-        # per-row angles broadcast against the (B, 2, ..., 2) halves _apply_2x2 combines
-        theta = gate.angle if angles is None else angles.reshape((-1,) + (1,) * (v.ndim - 2))
-    if kind in ("ry", "cry"):
-        half = 0.5 * theta
-        c, s = np.cos(half), np.sin(half)
-        _apply_2x2(v, target, c, -s, s, c)
-    elif kind == "rz":
-        ph = np.exp(-0.5j * theta)
-        _apply_2x2(v, target, ph, 0.0, 0.0, np.conj(ph))
-    elif kind == "h":
+        index[gate.qubits[0] + 1] = 1
+    target = gate.qubits[-1] + 1
+    index[target] = 0
+    i0 = tuple(index)
+    index[target] = 1
+    i1 = tuple(index)
+    kind = gate.kind
+    if kind in ("x", "cnot"):
+        return _SWAP, i0, i1, None
+    if kind == "cz":
+        return _NEGATE, i0, i1, None
+    if column is not None:
+        return _MIX, i0, i1, column
+    if kind == "h":
         r = 1.0 / math.sqrt(2.0)
-        _apply_2x2(v, target, r, r, r, -r)
-    elif kind in ("x", "cnot"):
-        _apply_2x2(v, target, 0.0, 1.0, 1.0, 0.0)
-    elif kind == "cz":
-        v[(slice(None),) * target + (1,)] *= -1.0
-    else:  # unreachable: Gate validates kind
-        raise ValueError(kind)
+        return _MIX, i0, i1, (r, r, r, -r)
+    if kind == "rz":
+        ph = np.exp(-0.5j * gate.angle)
+        return _MIX, i0, i1, (ph, 0.0, 0.0, np.conj(ph))
+    half = 0.5 * gate.angle  # RY or CRY
+    c, s = np.cos(half), np.sin(half)
+    return _MIX, i0, i1, (c, -s, s, c)
+
+
+class Template:
+    """A circuit lowered once, with the angles of gates `columns` left open.
+
+    Every simulation runs through `_apply`, which acts in place on a (B, 2^n)
+    buffer of amplitude rows. `probabilities` binds B angle sets at once:
+    angles[b, j] replaces the angle of gate columns[j] in row b, and every
+    other gate keeps its own.
+    """
+
+    def __init__(self, circuit: Circuit, columns=()):
+        try:
+            columns = [operator.index(k) for k in columns]
+        except TypeError:
+            raise ValueError(f"columns must be gate indices, got {columns!r}") from None
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"columns must be distinct gates, got {columns}")
+        for k in columns:
+            if not (0 <= k < len(circuit.gates)) or circuit.gates[k].kind not in _ANGLED:
+                raise ValueError(f"column {k} is not an RY, RZ or CRY gate of the circuit")
+        n = circuit.n_qubits
+        self.n_qubits = n
+        self.columns = tuple(columns)
+        bound = {k: j for j, k in enumerate(columns)}
+        self._ops = [_lower(g, n, bound.get(k)) for k, g in enumerate(circuit.gates)]
+        # the broadcast shape of a (B,) column against the halves of gate columns[j]
+        self._shapes = [(-1,) + (1,) * (n - len(circuit.gates[k].qubits)) for k in columns]
+        self._rz = [j for j, k in enumerate(columns) if circuit.gates[k].kind == "rz"]
+
+    def _bind(self, angles: np.ndarray) -> list[tuple]:
+        """The four matrix entries of each bound gate, one per row of `angles`."""
+        half = 0.5 * angles
+        cos, sin = np.cos(half), np.sin(half)
+        coeffs = []
+        for j, shape in enumerate(self._shapes):
+            c, s = cos[:, j].reshape(shape), sin[:, j].reshape(shape)
+            coeffs.append((c, -s, s, c))
+        if self._rz:
+            phases = np.exp(-0.5j * angles[:, self._rz])
+            for j, ph in zip(self._rz, phases.T):
+                ph = ph.reshape(self._shapes[j])
+                coeffs[j] = (ph, 0.0, 0.0, np.conj(ph))
+        return coeffs
+
+    def _apply(self, amp: np.ndarray, coeffs=()):
+        """Run the lowered gates in place on a contiguous complex128 (B, 2^n) buffer,
+        with the bound gates' entries `coeffs` from `_bind`.
+
+        2x2 mixes combine contiguous copies of the two halves: numpy is slower
+        on the strided views themselves.
+        """
+        v = amp.reshape((len(amp),) + (2,) * self.n_qubits)  # a view with qubit q on axis q + 1
+        for kind, i0, i1, u in self._ops:
+            if kind == _MIX:
+                u00, u01, u10, u11 = coeffs[u] if type(u) is int else u
+                a0 = v[i0].copy()
+                a1 = v[i1].copy()
+                v[i0] = u00 * a0 + u01 * a1
+                v[i1] = u10 * a0 + u11 * a1
+            elif kind == _SWAP:
+                a0 = v[i0].copy()
+                v[i0] = v[i1]
+                v[i1] = a0
+            else:
+                v[i1] *= -1.0
+
+    def probabilities(self, angles) -> np.ndarray:
+        """Born probabilities of the B bindings in `angles`, (B, P), one row each.
+
+        Rows are indexed like `circuit_probabilities`.
+        """
+        angles = np.asarray(angles, dtype=float)
+        if angles.ndim != 2 or angles.shape[0] < 1 or angles.shape[1] != len(self.columns):
+            raise ValueError(f"angles must have shape (B >= 1, {len(self.columns)}), got {angles.shape}")
+        if not np.isfinite(angles).all():
+            raise ValueError("angles must be finite")
+        amp = np.zeros((len(angles), 2**self.n_qubits), dtype=np.complex128)
+        amp[:, 0] = 1.0
+        self._apply(amp, self._bind(angles))
+        return np.abs(amp) ** 2
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -185,7 +262,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         if not (0 <= q < state.n_qubits):
             raise ValueError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
     out = state.copy()
-    _dispatch(out.amplitudes[None], out.n_qubits, gate)
+    Template(Circuit(out.n_qubits, [gate]))._apply(out.amplitudes[None])
     return out
 
 
@@ -194,37 +271,13 @@ def simulate(circuit: Circuit) -> Statevector:
     zero = np.zeros(2**circuit.n_qubits, dtype=np.complex128)
     zero[0] = 1.0
     state = Statevector(circuit.n_qubits, zero)
-    amp = state.amplitudes[None]
-    for gate in circuit.gates:
-        _dispatch(amp, circuit.n_qubits, gate)
+    Template(circuit)._apply(state.amplitudes[None])
     return state
 
 
 def batch_probabilities(circuit: Circuit, columns, angles) -> np.ndarray:
-    """Born probabilities of the circuit under B angle bindings, one row each.
-
-    `angles` is (B, P): angles[b, j] replaces the angle of gate columns[j] in
-    row b, and every other gate keeps its own. Rows are indexed like
-    `circuit_probabilities`.
-    """
-    columns = [operator.index(k) for k in columns]
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 2 or angles.shape[0] < 1 or angles.shape[1] != len(columns):
-        raise ValueError(f"angles must have shape (B >= 1, {len(columns)}), got {angles.shape}")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-    if len(set(columns)) != len(columns):
-        raise ValueError(f"columns must be distinct gates, got {columns}")
-    for k in columns:
-        if not (0 <= k < len(circuit.gates)) or circuit.gates[k].kind not in _ANGLED:
-            raise ValueError(f"column {k} is not an RY, RZ or CRY gate of the circuit")
-    n = circuit.n_qubits
-    bound = dict(zip(columns, np.ascontiguousarray(angles.T)))
-    amp = np.zeros((len(angles), 2**n), dtype=np.complex128)
-    amp[:, 0] = 1.0
-    for k, gate in enumerate(circuit.gates):
-        _dispatch(amp, n, gate, bound.get(k))
-    return np.abs(amp) ** 2
+    """Born probabilities of the circuit under B angle bindings; see `Template`."""
+    return Template(circuit, columns).probabilities(angles)
 
 
 def born_probabilities(state: Statevector) -> np.ndarray:
@@ -249,8 +302,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary extraction limited to {MAX_UNITARY_QUBITS} qubits")
     cols = np.eye(2**n, dtype=np.complex128)  # row j holds the image of |j>
-    for gate in circuit.gates:
-        _dispatch(cols, n, gate)
+    Template(circuit)._apply(cols)
     return cols.T.copy()
 
 

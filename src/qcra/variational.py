@@ -1,10 +1,10 @@
 """Target histograms, quadratic distribution loss, shift-rule gradients, Adam loop.
 
-Gradients and fits work on an ansatz's template, taken once from its
-builder: the circuit at given angles, the RY gate each parameter moves, and
-that gate's offset (gate angle = theta + offset). Every angle set the loss
-and the shift rule need is then bound into the template and simulated as
-one batch with `simkit.batch_probabilities`.
+Gradients and fits work on an ansatz's `simkit.Template`, taken once from
+its builder: the circuit with the RY gate of each parameter left open, and
+that gate's offset (gate angle = theta + offset). A fit also builds the
+constant +-pi/2 shift matrix once. Each Adam step is then one batched
+simulation of the 2P + 1 bindings the loss and its shift-rule gradient need.
 """
 
 from __future__ import annotations
@@ -89,26 +89,28 @@ def loader_builder(n_qubits: int) -> CircuitBuilder:
     raise ValueError(f"no loader ansatz for {n_qubits} qubits")
 
 
-def ry_template(builder: CircuitBuilder, thetas: np.ndarray
-                ) -> tuple[Circuit, list[int | None], np.ndarray]:
-    """The template of an RY ansatz: its circuit at `thetas`, the gate each
-    parameter moves, and that gate's offset.
+def ry_template(builder: CircuitBuilder, thetas: Sequence[float]
+                ) -> tuple[simkit.Template, list[int], np.ndarray]:
+    """The template of an RY ansatz at `thetas`: its circuit with one open
+    column per parameter that moves a gate, those parameters, and their
+    offsets.
 
-    Parameter i moves at most one gate, gate columns[i] (None if it moves
-    none), an RY whose angle is thetas[i] + offsets[i]. The two-point pi/2
-    shift rule is exact only in that form; a parameter in two gates or in
-    RY(2 theta) would get a silently wrong gradient, so those are rejected.
+    Parameter params[j] moves one gate, column j of the template: an RY whose
+    angle is theta + offsets[j]. The builder is probed at 0 and at each unit
+    vector, where no angle is lost to rounding. The two-point pi/2 shift rule
+    is exact only in that form; a parameter in two gates or in RY(2 theta)
+    would get a silently wrong gradient, so those are rejected.
     """
     circuit = builder(thetas)
-    ref = circuit.gates
-    columns: list[int | None] = []
-    offsets = np.zeros(len(thetas))
-    for i in range(len(thetas)):
-        shifted = np.array(thetas, dtype=float)
-        shifted[i] += 1.0
+    n_params = len(thetas)
+    base = builder(np.zeros(n_params)).gates
+    columns, params, offsets = [], [], []
+    for i in range(n_params):
+        unit = np.zeros(n_params)
+        unit[i] = 1.0
         moved = []
-        for k, (a, b) in enumerate(zip(ref, builder(shifted).gates, strict=True)):
-            if (a.kind, a.qubits) != (b.kind, b.qubits):
+        for k, (a, b, c) in enumerate(zip(base, builder(unit).gates, circuit.gates, strict=True)):
+            if not (a.kind, a.qubits) == (b.kind, b.qubits) == (c.kind, c.qubits):
                 raise ValueError("ansatz structure must not depend on the parameters")
             if a.angle != b.angle:
                 if a.kind != "ry":
@@ -117,38 +119,53 @@ def ry_template(builder: CircuitBuilder, thetas: np.ndarray
         if len(moved) > 1:
             raise ValueError(f"parameter {i} moves {len(moved)} gates; the shift rule needs one")
         if not moved:
-            columns.append(None)
             continue
         k, coeff = moved[0]
         if abs(coeff - 1.0) > 1e-9:
             raise ValueError(f"parameter {i} enters its RY with coefficient {coeff:.6g}; "
                              "the shift rule needs 1")
         columns.append(k)
-        offsets[i] = ref[k].angle - thetas[i]
-    return circuit, columns, offsets
+        params.append(i)
+        offsets.append(base[k].angle)
+    return simkit.Template(circuit, columns), params, np.array(offsets)
 
 
-def _shift_rule_probs(circuit: Circuit, columns: list[int | None], angles: np.ndarray) -> np.ndarray:
-    """Probabilities of the template with parameter i's gate at angles[i]
-    (row 0), shifted by +pi/2 (row 1 + i) and by -pi/2 (row 1 + P + i), in one
-    batched simulation.
+class _ShiftRule:
+    """The 2P + 1 angle bindings of the loss and its shift-rule gradient,
+    planned once from an ansatz's template.
 
-    A parameter that moves no gate keeps the row-0 angles in its shifted rows.
+    Row 0 binds each parameter's gate at theta; row 1 + i shifts parameter
+    i's gate by +pi/2 and row 1 + P + i by -pi/2. A parameter that moves no
+    gate keeps the row-0 angles in its shifted rows.
     """
-    n_params = len(columns)
-    moved = [i for i, k in enumerate(columns) if k is not None]
-    rows = np.tile(angles[moved], (2 * n_params + 1, 1))
-    for j, i in enumerate(moved):
-        rows[1 + i, j] += SHIFT
-        rows[1 + n_params + i, j] -= SHIFT
-    return simkit.batch_probabilities(circuit, [columns[i] for i in moved], rows)
+
+    def __init__(self, builder: CircuitBuilder, thetas: Sequence[float]):
+        self.template, self.params, self.offsets = ry_template(builder, thetas)
+        n_params = len(thetas)
+        self.shifts = np.zeros((2 * n_params + 1, len(self.params)))
+        for j, i in enumerate(self.params):
+            self.shifts[1 + i, j] = SHIFT
+            self.shifts[1 + n_params + i, j] = -SHIFT
+
+    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        """The (2P + 1, 2^n) rows at `thetas`, in one batched simulation.
+
+        A parameter so large that its +-pi/2 shift is lost to rounding (by
+        more than 1e-9) raises ValueError: its gradient would read 0.
+        """
+        angles = thetas[self.params] + self.offsets
+        for i, a in zip(self.params, angles.tolist()):
+            if abs((a + SHIFT) - a - SHIFT) > 1e-9 or abs((a - SHIFT) - a + SHIFT) > 1e-9:
+                raise ValueError(f"parameter {i} = {thetas[i]!r} is too large for the shift rule: "
+                                 "its pi/2 shift is lost to rounding")
+        return self.template.probabilities(angles + self.shifts)
 
 
 def _shift_rule_gradient(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i from the rows of `_shift_rule_probs`."""
+    """dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i from the rows of `_ShiftRule.probabilities`."""
     n_params = (len(probs) - 1) // 2
     dp = 0.5 * (probs[1:n_params + 1] - probs[n_params + 1:])
-    return np.sum(2.0 * (probs[0] - target) * dp, axis=1)
+    return (2.0 * (probs[0] - target) * dp).sum(axis=1)
 
 
 def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], target) -> np.ndarray:
@@ -159,9 +176,8 @@ def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], t
     at `thetas` and its 2P + 1 circuits are simulated as one batch.
     """
     thetas = np.asarray(thetas, dtype=float)
-    circuit, columns, offsets = ry_template(builder, thetas)
     t = np.asarray(getattr(target, "probs", target), dtype=float)
-    return _shift_rule_gradient(_shift_rule_probs(circuit, columns, thetas + offsets), t)
+    return _shift_rule_gradient(_ShiftRule(builder, thetas).probabilities(thetas), t)
 
 
 @dataclass
@@ -236,13 +252,13 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_qubits)
     initial = thetas.copy()
-    circuit, columns, offsets = ry_template(builder, thetas)
+    rule = _ShiftRule(builder, thetas)
     state = AdamState.fresh(n_qubits, config.lr)
     history: list[float] = []
     iterations = 0
     while True:
         # row 0 is the loss at the current angles, rows 1..2P the next gradient
-        probs = _shift_rule_probs(circuit, columns, thetas + offsets)
+        probs = rule.probabilities(thetas)
         history.append(distribution_loss(probs[0], t))
         converged = history[-1] < config.tol
         if converged or iterations >= config.max_iters:

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcra import cli
@@ -134,6 +137,14 @@ class TestSweepInputErrors:
         assert cli._parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.8999999999999999]
         assert cli._parse_grid("45") == [45.0]
 
+    @pytest.mark.parametrize("thetas", [["--theta0", "90", "--theta1", "1e20"], ["--theta0", "1e20", "--theta1", "90"]],
+                             ids=["theta1", "theta0"])
+    def test_huge_angles_sweep(self, tmp_path, capsys, thetas):
+        rc, err = run_sweep(tmp_path, capsys, "--ansatz", "2q", *thetas)
+        assert rc == cli.EXIT_OK and err == ""
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert sum(float(p) for p in row.split(",")[2:6]) == pytest.approx(1.0, abs=1e-12)
+
     def test_presets_run(self, tmp_path, capsys):
         rc, err = run_sweep(tmp_path, capsys, "--preset", "fine-3q", "--shots", "10", "--seed", "1")
         assert rc == cli.EXIT_OK and err == ""
@@ -228,3 +239,6 @@ class TestProtocol:
         assert sorted(f.name for f in out.iterdir()) == sorted(written)
         assert manifest["command"] == [command] and manifest["seed"] == 3
         assert manifest["started"] <= manifest["finished"]
+        assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                           "platform": platform.platform(), "cpu_count": os.cpu_count()}
+        assert cli.environment.cache_info().misses == 1  # computed once per process

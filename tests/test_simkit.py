@@ -94,42 +94,34 @@ class TestApplyGate:
             np.testing.assert_allclose(got, state, atol=1e-12)
 
 
-def _embed(gate, n):
-    """Full-space matrix by explicit kron products (test-side oracle)."""
-    if gate.kind in ("cz", "cnot", "cry"):
-        if gate.kind == "cz":
-            small, (a, b) = CZ, gate.qubits
-        else:
-            u = X if gate.kind == "cnot" else RY(gate.angle)
-            small = np.eye(4, dtype=complex)
-            small[2:, 2:] = u
-            a, b = gate.qubits
-        full = np.zeros((2**n, 2**n), dtype=complex)
-        for col in range(2**n):
-            ab = ((col >> (n - 1 - a)) & 1) * 2 + ((col >> (n - 1 - b)) & 1)
-            for ab_out in range(4):
-                amp = small[ab_out, ab]
-                if amp == 0:
-                    continue
-                row = col & ~(1 << (n - 1 - a)) & ~(1 << (n - 1 - b))
-                row |= (ab_out >> 1) << (n - 1 - a)
-                row |= (ab_out & 1) << (n - 1 - b)
-                full[row, col] += amp
-        return full
-    if gate.kind == "ry":
-        u = RY(gate.angle)
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+
+
+def _kron(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _embed(gate, n, angle=None):
+    """Full-space matrix from kron products of 2x2 blocks and projectors (test-side oracle).
+
+    `angle`, when given, replaces the gate's own.
+    """
+    angle = gate.angle if angle is None else angle
+    if gate.kind in ("ry", "cry"):
+        u = RY(angle)
     elif gate.kind == "rz":
-        u = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    elif gate.kind == "h":
-        u = H
+        u = np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
     else:
-        u = X
-    mats = [np.eye(2, dtype=complex)] * n
-    mats[gate.qubits[0]] = u
-    full = mats[0]
-    for m in mats[1:]:
-        full = np.kron(full, m)
-    return full
+        u = {"h": H, "x": X, "cnot": X, "cz": np.diag([1.0, -1.0])}[gate.kind]
+    if len(gate.qubits) == 1:
+        return _kron([u if q == gate.qubits[0] else np.eye(2) for q in range(n)])
+    c, t = gate.qubits  # |0><0| on the control leaves the target idle, |1><1| applies u
+    return (_kron([P0 if q == c else np.eye(2) for q in range(n)])
+            + _kron([P1 if q == c else u if q == t else np.eye(2) for q in range(n)]))
 
 
 class TestBornProbabilities:
@@ -209,6 +201,70 @@ def bound_circuits(draw):
     return circ, columns, angles
 
 
+BAD_BINDING_CIRCUIT = Circuit(2, [Gate.ry(0, 0.3), Gate.h(1), Gate.cry(0, 1, 0.5), Gate.cz(0, 1)])
+BAD_BINDINGS = [
+    ([0], np.zeros(2), "shape"),
+    ([0], np.zeros((2, 2)), "shape"),
+    ([0, 2], np.zeros((2, 1)), "shape"),
+    ([0], np.zeros((0, 1)), "shape"),
+    ([0], [[0.1], [math.nan]], "finite"),
+    ([2], [[math.inf]], "finite"),
+    ([1], [[0.1]], "column 1"),
+    ([3], [[0.1]], "column 3"),
+    ([4], [[0.1]], "column 4"),
+    ([-1], [[0.1]], "column -1"),
+    ([0, 0], [[0.1, 0.2]], "distinct"),
+    ([None], [[0.1]], "gate indices"),
+    ([0.0], [[0.1]], "gate indices"),
+]
+BAD_BINDING_IDS = ["1d", "too-many-columns", "too-few-columns", "no-rows", "nan", "inf",
+                   "h-gate", "cz-gate", "past-the-end", "negative", "repeated", "none", "float"]
+
+
+class TestTemplate:
+    @settings(deadline=None, max_examples=200)
+    @given(bound_circuits())
+    def test_rows_match_the_dense_kron_oracle(self, case):
+        circ, columns, angles = case
+        n = circ.n_qubits
+        # H layers around the circuit make its probabilities depend on the phases inside it
+        layer = [Gate.h(q) for q in range(n)]
+        wrapped = Circuit(n, layer + circ.gates + layer)
+        for c, cols in ((circ, columns), (wrapped, [k + n for k in columns])):
+            got = simkit.Template(c, cols).probabilities(angles)
+            for row, bound in zip(got, angles):
+                angle_of = dict(zip(cols, bound))
+                state = np.eye(2**n)[0].astype(complex)
+                for k, gate in enumerate(c.gates):
+                    state = _embed(gate, n, angle_of.get(k)) @ state
+                np.testing.assert_allclose(row, np.abs(state) ** 2, rtol=0, atol=1e-12)
+
+    def test_reused_and_interleaved_templates_match_fresh_ones(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            cases = []
+            for _ in range(2):
+                circ = random_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 10)), rng)
+                angled = [k for k, g in enumerate(circ.gates) if g.angle is not None]
+                cases.append((circ, [int(k) for k in rng.permutation(angled)[:int(rng.integers(0, len(angled) + 1))]]))
+            templates = [simkit.Template(circ, columns) for circ, columns in cases]
+            for _ in range(3):
+                for (circ, columns), template in zip(cases, templates):
+                    angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(int(rng.integers(1, 7)), len(columns)))
+                    np.testing.assert_array_equal(template.probabilities(angles),
+                                                  simkit.Template(circ, columns).probabilities(angles))
+
+    @pytest.mark.parametrize("columns, angles, match", BAD_BINDINGS, ids=BAD_BINDING_IDS)
+    def test_bad_columns_fail_at_construction_and_bad_angles_at_the_call(self, columns, angles, match):
+        if match in ("shape", "finite"):
+            template = simkit.Template(BAD_BINDING_CIRCUIT, columns)
+            with pytest.raises(ValueError, match=match):
+                template.probabilities(angles)
+        else:
+            with pytest.raises(ValueError, match=match):
+                simkit.Template(BAD_BINDING_CIRCUIT, columns)
+
+
 class TestBatchProbabilities:
     @settings(deadline=None, max_examples=200)
     @given(bound_circuits())
@@ -223,24 +279,10 @@ class TestBatchProbabilities:
             ref = simkit.circuit_probabilities(Circuit(circ.n_qubits, gates))
             np.testing.assert_array_equal(row, ref)
 
-    @pytest.mark.parametrize("columns, angles, match", [
-        ([0], np.zeros(2), "shape"),
-        ([0], np.zeros((2, 2)), "shape"),
-        ([0, 2], np.zeros((2, 1)), "shape"),
-        ([0], np.zeros((0, 1)), "shape"),
-        ([0], [[0.1], [math.nan]], "finite"),
-        ([2], [[math.inf]], "finite"),
-        ([1], [[0.1]], "column 1"),
-        ([3], [[0.1]], "column 3"),
-        ([4], [[0.1]], "column 4"),
-        ([-1], [[0.1]], "column -1"),
-        ([0, 0], [[0.1, 0.2]], "distinct"),
-    ], ids=["1d", "too-many-columns", "too-few-columns", "no-rows", "nan", "inf",
-            "h-gate", "cz-gate", "past-the-end", "negative", "repeated"])
+    @pytest.mark.parametrize("columns, angles, match", BAD_BINDINGS, ids=BAD_BINDING_IDS)
     def test_rejects_bad_bindings(self, columns, angles, match):
-        circ = Circuit(2, [Gate.ry(0, 0.3), Gate.h(1), Gate.cry(0, 1, 0.5), Gate.cz(0, 1)])
         with pytest.raises(ValueError, match=match):
-            simkit.batch_probabilities(circ, columns, angles)
+            simkit.batch_probabilities(BAD_BINDING_CIRCUIT, columns, angles)
 
 
 class TestNormPreservation:

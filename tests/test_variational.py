@@ -174,6 +174,16 @@ class TestParameterShiftGradient:
             np.testing.assert_array_equal(parameter_shift_gradient(builder, thetas, target),
                                           reference_gradient(builder, thetas, target))
 
+    @pytest.mark.parametrize("thetas", [[1e17, 1.0], [1.0, -1e17]], ids=["theta0", "theta1"])
+    def test_rejects_a_shift_lost_to_rounding(self, thetas):
+        with pytest.raises(ValueError, match="lost to rounding"):
+            parameter_shift_gradient(build_two_qubit_loader, thetas, make_target(2, 0.0, 0.8, 1.5))
+
+    def test_template_of_a_large_angle_has_coefficient_1(self):
+        template, params, offsets = variational.ry_template(build_two_qubit_loader, [1e16 + 2, 1.0])
+        assert template.columns == (0, 1) and params == [0, 1]
+        np.testing.assert_array_equal(offsets, [0.0, 0.0])
+
     def test_fixed_rz_gates_are_fine(self):
         builder = lambda th: Circuit(1, [Gate.ry(0, float(th[0])), Gate.rz(0, 0.7)])
         g = parameter_shift_gradient(builder, [0.3], np.array([1.0, 0.0]))
