@@ -61,7 +61,7 @@ ANSATZ_QUBITS = {"2q": 2, "3q": 3}
 # largest preset, fine-3q, has 441.
 MAX_GRID_POINTS = 100_000
 
-# Cap on spam repetitions, which are all allocated up front; the default is 100.
+# Cap on spam repetitions, which `noise.sample_rows` draws all at once; the default is 100.
 MAX_REPS = 100_000
 
 # Cap on a train config's max_iters (default 2000): about 10 s of 3q fitting at
@@ -115,6 +115,15 @@ def _parse_grid(spec: str) -> list[float]:
     return [start + k * step for k in range(int(span) + 1)]
 
 
+def nonnegative_seed(value) -> int:
+    """A seed from --seed (as argparse type) or a train config; a negative one raises
+    UsageError with one message for every command, whether it samples or not."""
+    seed = int(value)
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def float_list(text: str) -> list[float]:
     """A comma-separated list of numbers, as argparse type."""
     return [float(x) for x in text.split(",")]
@@ -138,7 +147,8 @@ def cmd_train(args) -> Run:
                 raise UsageError(f"config missing field {field!r}")
         elif not (simkit.is_finite_real(cfg[field]) and (check is None or check(cfg[field]))):
             raise UsageError(f"config field {field!r} has invalid value {cfg[field]!r}")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    config_seed = nonnegative_seed(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else config_seed
     casts = {"lr": float, "max_iters": int, "tol": float}  # TrainConfig fields; unset ones keep its defaults
     train_cfg = variational.TrainConfig(seed=seed, **{k: cast(cfg[k]) for k, cast in casts.items() if k in cfg})
     target = variational.make_target(int(cfg["n_qubits"]), float(cfg.get("mu", 0.0)),
@@ -177,18 +187,14 @@ def cmd_sweep(args) -> Run:
         1e-3 if args.shots is not None else 1e-9)
     readout = _readout(args, n_qubits)
     grid = [[theta0, t1] + ([t2] if n_qubits == 3 else []) for t1 in theta1s for t2 in theta2s]
-    streams = np.random.SeedSequence(args.seed or 0).spawn(len(grid))
 
-    # one batched simulation binds every grid point into the loader's template
+    # one batched simulation of every grid point
     rad = np.array([[math.radians(d) for d in degs] for degs in grid])
-    template, params, offsets = variational.ry_template(build, rad[0])
-    grid_probs = template.probabilities(rad[:, params] + offsets)
+    grid_probs = variational.RyAnsatz(build, rad[0]).probabilities(rad)
     if readout is not None:
         grid_probs = noise.apply_confusion(grid_probs, readout)
-
-    if args.shots is not None:  # each row samples from its own stream
-        grid_probs = np.array([noise.sample_shots(probs, args.shots, np.random.default_rng(stream)).frequencies()
-                               for probs, stream in zip(grid_probs, streams)])
+    if args.shots is not None:
+        grid_probs = noise.sample_rows(grid_probs, args.shots, args.seed or 0)
     labels = circuits.classify_concavity(grid_probs, class_tol)
 
     headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="directory for output files")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed for numeric reproducibility")
+        p.add_argument("--seed", type=nonnegative_seed, default=None, help="RNG seed for numeric reproducibility")
 
     p_train = sub.add_parser("train", help="fit a loader to a discrete normal target")
     p_train.add_argument("--config", required=True, help="training config JSON")

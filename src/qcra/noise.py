@@ -1,4 +1,6 @@
-"""Finite-shot sampling, tensored per-qubit readout error, SPAM stats."""
+"""Finite-shot sampling, tensored per-qubit readout error, SPAM stats.
+
+Sweeps and SPAM repetitions sample their probability rows with `sample_rows`."""
 
 from __future__ import annotations
 
@@ -95,6 +97,15 @@ def sample_shots(probs: Sequence[float], n_shots: int,
     return ShotCounts(n_shots, rng.multinomial(n_shots, p / p.sum()))
 
 
+def sample_rows(probs: np.ndarray, n_shots: int, seed: int = 0) -> np.ndarray:
+    """Shot frequencies of (B, 2^n) probability rows; row b is drawn by
+    `sample_shots` from child b of `SeedSequence(seed)`, so it does not
+    depend on how many rows follow it."""
+    streams = np.random.SeedSequence(seed).spawn(len(probs))
+    return np.array([sample_shots(row, n_shots, np.random.default_rng(stream)).frequencies()
+                     for row, stream in zip(probs, streams)])
+
+
 @dataclass
 class SpamReport:
     """Mean and sample std of the pairwise asymmetries over repeated runs."""
@@ -115,9 +126,9 @@ def spam_statistics(circuit: Circuit, n_repetitions: int, shots_per_rep: int | N
                     seed: int = 0, confusion: ConfusionMatrix | None = None) -> SpamReport:
     """Delta-P statistics between symmetric basis pairs over repeated experiments.
 
-    Each repetition owns an independent RNG stream split from the master seed.
-    With shots_per_rep None the exact probabilities are used and every delta
-    collapses to its noiseless value.
+    Repetition r draws its shots through `sample_rows`, from child r of
+    `SeedSequence(seed)`. With shots_per_rep None the exact probabilities are
+    used and every delta collapses to its noiseless value.
     """
     if n_repetitions < 2:
         raise ValueError("at least 2 repetitions are needed for a std")
@@ -125,18 +136,13 @@ def spam_statistics(circuit: Circuit, n_repetitions: int, shots_per_rep: int | N
     probs = simkit.born_probabilities(simkit.simulate(circuit))
     if confusion is not None:
         probs = apply_confusion(probs, confusion)
+    est = np.broadcast_to(probs, (n_repetitions, len(probs)))
+    if shots_per_rep is not None:
+        est = sample_rows(est, shots_per_rep, seed)
     # basis state b pairs with its mirror 2^n - 1 - b
     low = np.arange(2 ** (n - 1))
     high = 2**n - 1 - low
-    streams = np.random.SeedSequence(seed).spawn(n_repetitions)
-    deltas = np.zeros((n_repetitions, len(low)))
-    for r in range(n_repetitions):
-        if shots_per_rep is None:
-            est = probs
-        else:
-            rng = np.random.default_rng(streams[r])
-            est = sample_shots(probs, shots_per_rep, rng).frequencies()
-        deltas[r] = est[low] - est[high]
+    deltas = est[:, low] - est[:, high]
     out = {}
     for k, (i, j) in enumerate(zip(low, high)):
         label = f"{format(i, f'0{n}b')}-{format(j, f'0{n}b')}"

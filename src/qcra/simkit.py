@@ -13,7 +13,7 @@ angles (or one input state), and viewing the buffer as a (B, 2, ..., 2)
 array puts qubit q on axis q + 1. A 2x2 gate combines its target's two
 halves, X and CNOT swap them, and CZ negates one quarter. `simulate`,
 `apply_gate` and `circuit_unitary` run a template with no open angles;
-training, gradients and sweeps bind many angle sets into one template.
+`variational.RyAnsatz` binds fits, gradients and sweeps into `Template.probabilities`.
 Circuits always run from |0...0>; `apply_gate` takes any other input state.
 """
 
@@ -98,18 +98,10 @@ class Circuit:
     def __post_init__(self):
         if not (1 <= self.n_qubits <= MAX_QUBITS):
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        for g in self.gates:
-            self._check_gate(g)
-
-    def _check_gate(self, gate: Gate):
-        for q in gate.qubits:
-            if not (0 <= q < self.n_qubits):
-                raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
-
-    def add(self, gate: Gate) -> "Circuit":
-        self._check_gate(gate)
-        self.gates.append(gate)
-        return self
+        for gate in self.gates:
+            for q in gate.qubits:
+                if not (0 <= q < self.n_qubits):
+                    raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
 
 
 @dataclass
@@ -273,11 +265,6 @@ def simulate(circuit: Circuit) -> Statevector:
     state = Statevector(circuit.n_qubits, zero)
     Template(circuit)._apply(state.amplitudes[None])
     return state
-
-
-def batch_probabilities(circuit: Circuit, columns, angles) -> np.ndarray:
-    """Born probabilities of the circuit under B angle bindings; see `Template`."""
-    return Template(circuit, columns).probabilities(angles)
 
 
 def born_probabilities(state: Statevector) -> np.ndarray:

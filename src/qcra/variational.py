@@ -1,16 +1,16 @@
 """Target histograms, quadratic distribution loss, shift-rule gradients, Adam loop.
 
-Gradients and fits work on an ansatz's `simkit.Template`, taken once from
-its builder: the circuit with the RY gate of each parameter left open, and
-that gate's offset (gate angle = theta + offset). A fit also builds the
-constant +-pi/2 shift matrix once. Each Adam step is then one batched
-simulation of the 2P + 1 bindings the loss and its shift-rule gradient need.
-"""
+`RyAnsatz` is the one parameterised-circuit form: it probes a builder once
+for its `simkit.Template` (the circuit with the RY gate of each parameter
+left open), each gate's offset (gate angle = theta + offset) and the
+constant +-pi/2 shift matrix. Sweeps bind a grid of parameter rows through
+it in one batched simulation; gradients and each Adam step of a fit are one
+batched simulation of the 2P + 1 rows of the loss and its shift rule."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,66 +89,65 @@ def loader_builder(n_qubits: int) -> CircuitBuilder:
     raise ValueError(f"no loader ansatz for {n_qubits} qubits")
 
 
-def ry_template(builder: CircuitBuilder, thetas: Sequence[float]
-                ) -> tuple[simkit.Template, list[int], np.ndarray]:
-    """The template of an RY ansatz at `thetas`: its circuit with one open
-    column per parameter that moves a gate, those parameters, and their
-    offsets.
+class RyAnsatz:
+    """An RY ansatz probed once from its builder: its `simkit.Template` and how
+    parameter rows bind into it.
 
     Parameter params[j] moves one gate, column j of the template: an RY whose
     angle is theta + offsets[j]. The builder is probed at 0 and at each unit
-    vector, where no angle is lost to rounding. The two-point pi/2 shift rule
-    is exact only in that form; a parameter in two gates or in RY(2 theta)
-    would get a silently wrong gradient, so those are rejected.
-    """
-    circuit = builder(thetas)
-    n_params = len(thetas)
-    base = builder(np.zeros(n_params)).gates
-    columns, params, offsets = [], [], []
-    for i in range(n_params):
-        unit = np.zeros(n_params)
-        unit[i] = 1.0
-        moved = []
-        for k, (a, b, c) in enumerate(zip(base, builder(unit).gates, circuit.gates, strict=True)):
-            if not (a.kind, a.qubits) == (b.kind, b.qubits) == (c.kind, c.qubits):
-                raise ValueError("ansatz structure must not depend on the parameters")
-            if a.angle != b.angle:
-                if a.kind != "ry":
-                    raise ValueError(f"shift rule requires RY-parameterized gates, found {a.kind}")
-                moved.append((k, b.angle - a.angle))
-        if len(moved) > 1:
-            raise ValueError(f"parameter {i} moves {len(moved)} gates; the shift rule needs one")
-        if not moved:
-            continue
-        k, coeff = moved[0]
-        if abs(coeff - 1.0) > 1e-9:
-            raise ValueError(f"parameter {i} enters its RY with coefficient {coeff:.6g}; "
-                             "the shift rule needs 1")
-        columns.append(k)
-        params.append(i)
-        offsets.append(base[k].angle)
-    return simkit.Template(circuit, columns), params, np.array(offsets)
-
-
-class _ShiftRule:
-    """The 2P + 1 angle bindings of the loss and its shift-rule gradient,
-    planned once from an ansatz's template.
-
-    Row 0 binds each parameter's gate at theta; row 1 + i shifts parameter
-    i's gate by +pi/2 and row 1 + P + i by -pi/2. A parameter that moves no
-    gate keeps the row-0 angles in its shifted rows.
+    vector, where no angle is lost to rounding, and its structure is checked
+    at `thetas`. The two-point pi/2 shift rule is exact only in that form; a
+    parameter in two gates or in RY(2 theta) would get a silently wrong
+    gradient, so those are rejected. A parameter that moves no gate is
+    dropped from the binding.
     """
 
     def __init__(self, builder: CircuitBuilder, thetas: Sequence[float]):
-        self.template, self.params, self.offsets = ry_template(builder, thetas)
+        circuit = builder(thetas)
         n_params = len(thetas)
-        self.shifts = np.zeros((2 * n_params + 1, len(self.params)))
-        for j, i in enumerate(self.params):
-            self.shifts[1 + i, j] = SHIFT
-            self.shifts[1 + n_params + i, j] = -SHIFT
+        base = builder(np.zeros(n_params)).gates
+        columns, params, offsets = [], [], []
+        for i in range(n_params):
+            unit = np.zeros(n_params)
+            unit[i] = 1.0
+            moved = []
+            for k, (a, b, c) in enumerate(zip(base, builder(unit).gates, circuit.gates, strict=True)):
+                if not (a.kind, a.qubits) == (b.kind, b.qubits) == (c.kind, c.qubits):
+                    raise ValueError("ansatz structure must not depend on the parameters")
+                if a.angle != b.angle:
+                    if a.kind != "ry":
+                        raise ValueError(f"shift rule requires RY-parameterized gates, found {a.kind}")
+                    moved.append((k, b.angle - a.angle))
+            if len(moved) > 1:
+                raise ValueError(f"parameter {i} moves {len(moved)} gates; the shift rule needs one")
+            if not moved:
+                continue
+            k, coeff = moved[0]
+            if abs(coeff - 1.0) > 1e-9:
+                raise ValueError(f"parameter {i} enters its RY with coefficient {coeff:.6g}; "
+                                 "the shift rule needs 1")
+            columns.append(k)
+            params.append(i)
+            offsets.append(base[k].angle)
+        self.n_params = n_params
+        self.template = simkit.Template(circuit, columns)
+        self.params = params
+        self.offsets = np.array(offsets)
+        # Added to the bound angles: row 0 keeps them, row 1 + i shifts parameter
+        # i's gate by +pi/2 and row 1 + P + i by -pi/2.
+        moves = np.eye(n_params)[:, params]
+        self.shifts = SHIFT * np.vstack([np.zeros(len(params)), moves, -moves])
 
-    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """The (2P + 1, 2^n) rows at `thetas`, in one batched simulation.
+    def probabilities(self, param_rows) -> np.ndarray:
+        """The (B, 2^n) probability rows of (B, P) parameter rows, in one batched simulation."""
+        rows = np.asarray(param_rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n_params:
+            raise ValueError(f"parameter rows must have shape (B, {self.n_params}), got {rows.shape}")
+        return self.template.probabilities(rows[:, self.params] + self.offsets)
+
+    def shift_rule(self, thetas: np.ndarray) -> np.ndarray:
+        """The 2P + 1 probability rows of the loss and its shift-rule gradient at
+        `thetas`: row 0 at theta, rows 1..2P at theta +- pi/2 e_i.
 
         A parameter so large that its +-pi/2 shift is lost to rounding (by
         more than 1e-9) raises ValueError: its gradient would read 0.
@@ -162,7 +161,7 @@ class _ShiftRule:
 
 
 def _shift_rule_gradient(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i from the rows of `_ShiftRule.probabilities`."""
+    """dL/dt_i = sum_b 2 (p_b - p*_b) dp_b/dt_i from the rows of `RyAnsatz.shift_rule`."""
     n_params = (len(probs) - 1) // 2
     dp = 0.5 * (probs[1:n_params + 1] - probs[n_params + 1:])
     return (2.0 * (probs[0] - target) * dp).sum(axis=1)
@@ -177,7 +176,7 @@ def parameter_shift_gradient(builder: CircuitBuilder, thetas: Sequence[float], t
     """
     thetas = np.asarray(thetas, dtype=float)
     t = np.asarray(getattr(target, "probs", target), dtype=float)
-    return _shift_rule_gradient(_ShiftRule(builder, thetas).probabilities(thetas), t)
+    return _shift_rule_gradient(RyAnsatz(builder, thetas).shift_rule(thetas), t)
 
 
 @dataclass
@@ -222,7 +221,7 @@ class TrainReport:
     converged: bool
     iterations: int
     seed: int
-    initial_thetas: np.ndarray = field(default_factory=lambda: np.array([]))
+    initial_thetas: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -240,9 +239,8 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     """Fit the loader ansatz to a target histogram with shift-rule Adam descent.
 
     Initialization draws each angle uniformly from [0, 2 pi) with the config
-    seed, so reports are reproducible bit for bit. The ansatz template is
-    taken once; each Adam step is then one batched simulation of the 2P + 1
-    angle bindings the loss and its shift-rule gradient need.
+    seed, so reports are reproducible bit for bit. The ansatz is probed once;
+    each Adam step is then one batched simulation of its `shift_rule` rows.
     """
     config = config or TrainConfig()
     t = np.asarray(target.probs, dtype=float)
@@ -252,13 +250,13 @@ def train_loader(n_qubits: int, target: TargetHistogram, config: TrainConfig | N
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_qubits)
     initial = thetas.copy()
-    rule = _ShiftRule(builder, thetas)
+    ansatz = RyAnsatz(builder, thetas)
     state = AdamState.fresh(n_qubits, config.lr)
     history: list[float] = []
     iterations = 0
     while True:
         # row 0 is the loss at the current angles, rows 1..2P the next gradient
-        probs = rule.probabilities(thetas)
+        probs = ansatz.shift_rule(thetas)
         history.append(distribution_loss(probs[0], t))
         converged = history[-1] < config.tol
         if converged or iterations >= config.max_iters:

@@ -22,6 +22,11 @@ EDGE = PAIR["edges"][0]
 # finite train configs whose target or Adam steps would overflow or underflow
 EXTREME_TRAIN = [TRAIN | {"sigma": 1e-320}, TRAIN | {"z_max": 1e308}, TRAIN | {"mu": 1e308},
                  TRAIN | {"lr": 1e308}]
+# a negative seed, on every command and in a train config
+NEGATIVE_SEED = [["train", "--config", TRAIN, "--seed", "-1"], ["train", "--config", TRAIN | {"seed": -1}],
+                 ["sweep", "--preset", "table2-2q", "--seed", "-1"], ["gci", "--preset", "paper-gci", "--seed", "-1"],
+                 ["transpile", "--circuit", BELL, "--seed", "-1"],
+                 ["spam", "--ansatz", "2q", "--thetas", "90,200", "--seed", "-1"]]
 
 
 def run_cli(tmp_path, capsys, *argv):
@@ -109,12 +114,18 @@ class TestSweepInputErrors:
         ["gci", "--model", MODEL | {"lgd": 1e308}],
         ["train", "--config", TRAIN | {"sigma": 1e308}],
         ["transpile", "--circuit", BELL, "--preset", "contralto-3q", "--map", LINE5],
+        *NEGATIVE_SEED,
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
         rc, err = run_cli(tmp_path, capsys, *argv)
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_has_one_message(self, tmp_path, capsys):
+        errors = {run_cli(tmp_path, capsys, *[as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(argv)])[1]
+                  for argv in NEGATIVE_SEED}
+        assert errors == {"error: seed must be a non-negative integer, got -1\n"}
 
     @pytest.mark.parametrize("cfg", EXTREME_TRAIN, ids=["sigma", "z_max", "mu", "lr"])
     def test_extreme_train_config_names_its_input(self, tmp_path, capsys, cfg):
@@ -177,6 +188,13 @@ class TestReruns:
             assert files and files == sorted(f.name for f in runs[1].iterdir() if f.name != "manifest.json")
             for f in files:
                 assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes(), (name, f)
+
+
+    def test_exact_sweep_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        for seed in ("0", "5"):
+            rc, err = run_cli(tmp_path / seed, capsys, "sweep", "--preset", "table2-2q", "--seed", seed)
+            assert rc == cli.EXIT_OK, err
+        assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "5" / "sweep.csv").read_bytes()
 
 
 class TestProtocol:

@@ -43,6 +43,22 @@ class TestSampleShots:
                 noise.sample_shots(p, bad)
 
 
+class TestSampleRows:
+    def test_row_b_samples_from_child_b(self):
+        probs = np.array([probability_vector(3, seed) for seed in range(5)])
+        streams = np.random.SeedSequence(11).spawn(len(probs))
+        got = noise.sample_rows(probs, 300, 11)
+        for row, p, stream in zip(got, probs, streams):
+            expected = noise.sample_shots(p, 300, np.random.default_rng(stream)).frequencies()
+            np.testing.assert_array_equal(row, expected)
+
+    def test_a_prefix_draws_what_the_full_batch_draws(self):
+        probs = np.array([probability_vector(2, seed) for seed in range(7)])
+        full = noise.sample_rows(probs, 50, 3)
+        for k in (1, 4):
+            np.testing.assert_array_equal(noise.sample_rows(probs[:k], 50, 3), full[:k])
+
+
 def random_factors(n_qubits, seed):
     """n random column-stochastic 2x2 factors: column b is P(assigned | prepared b)."""
     stay = np.random.default_rng(seed).random((n_qubits, 2))

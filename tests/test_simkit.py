@@ -270,7 +270,7 @@ class TestBatchProbabilities:
     @given(bound_circuits())
     def test_rows_match_rebuilt_circuits(self, case):
         circ, columns, angles = case
-        got = simkit.batch_probabilities(circ, columns, angles)
+        got = simkit.Template(circ, columns).probabilities(angles)
         assert got.shape == (len(angles), 2**circ.n_qubits)
         for row, bound in zip(got, angles):
             gates = list(circ.gates)
@@ -282,7 +282,7 @@ class TestBatchProbabilities:
     @pytest.mark.parametrize("columns, angles, match", BAD_BINDINGS, ids=BAD_BINDING_IDS)
     def test_rejects_bad_bindings(self, columns, angles, match):
         with pytest.raises(ValueError, match=match):
-            simkit.batch_probabilities(BAD_BINDING_CIRCUIT, columns, angles)
+            simkit.Template(BAD_BINDING_CIRCUIT, columns).probabilities(angles)
 
 
 class TestNormPreservation:

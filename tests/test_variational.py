@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcra import simkit, variational
 from qcra.circuits import build_three_qubit_loader, build_two_qubit_loader
@@ -180,14 +183,46 @@ class TestParameterShiftGradient:
             parameter_shift_gradient(build_two_qubit_loader, thetas, make_target(2, 0.0, 0.8, 1.5))
 
     def test_template_of_a_large_angle_has_coefficient_1(self):
-        template, params, offsets = variational.ry_template(build_two_qubit_loader, [1e16 + 2, 1.0])
-        assert template.columns == (0, 1) and params == [0, 1]
-        np.testing.assert_array_equal(offsets, [0.0, 0.0])
+        ansatz = variational.RyAnsatz(build_two_qubit_loader, [1e16 + 2, 1.0])
+        assert ansatz.template.columns == (0, 1) and ansatz.params == [0, 1]
+        np.testing.assert_array_equal(ansatz.offsets, [0.0, 0.0])
 
     def test_fixed_rz_gates_are_fine(self):
         builder = lambda th: Circuit(1, [Gate.ry(0, float(th[0])), Gate.rz(0, 0.7)])
         g = parameter_shift_gradient(builder, [0.3], np.array([1.0, 0.0]))
         assert math.isfinite(g[0])
+
+
+def parameter_rows(n_params):
+    """(B, P) parameter rows, B <= 8, with angles in [-4 pi, 4 pi]."""
+    return hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(n_params)),
+                      elements=st.floats(-4 * math.pi, 4 * math.pi))
+
+
+class TestRyAnsatz:
+    @pytest.mark.parametrize("builder, n", [(build_two_qubit_loader, 2), (build_three_qubit_loader, 3)],
+                             ids=["2q", "3q"])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_rows_equal_rebuilt_loaders_bitwise(self, builder, n, data):
+        rows = data.draw(parameter_rows(n))
+        got = variational.RyAnsatz(builder, rows[0]).probabilities(rows)
+        assert got.shape == (len(rows), 2**n)
+        for row, probs in zip(rows, got):
+            np.testing.assert_array_equal(probs, simkit.circuit_probabilities(builder(row)))
+
+    def test_offset_rows_match_rebuilt_circuits(self):
+        builder = lambda th: Circuit(2, [Gate.ry(0, th[0] + 0.4), Gate.ry(1, th[1]), Gate.cnot(0, 1)])
+        rows = np.random.default_rng(5).uniform(-2 * math.pi, 2 * math.pi, size=(6, 2))
+        got = variational.RyAnsatz(builder, [0.3, 1.1]).probabilities(rows)
+        for row, probs in zip(rows, got):
+            np.testing.assert_allclose(probs, simkit.circuit_probabilities(builder(row)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [np.zeros(2), np.zeros((1, 3)), np.zeros((2, 1))],
+                             ids=["1d", "too-many-parameters", "too-few-parameters"])
+    def test_rejects_rows_of_the_wrong_shape(self, rows):
+        with pytest.raises(ValueError, match="shape"):
+            variational.RyAnsatz(build_two_qubit_loader, [0.3, 1.1]).probabilities(rows)
 
 
 class TestAdam:
