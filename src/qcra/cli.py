@@ -11,6 +11,9 @@ creates --out-dir and writes the files in order and then `manifest.json`, and
 it writes nothing when the command fails. A usage error (from the parser, a
 command's input checks, a report holding NaN or Infinity, or an input file or
 --out-dir the OS refuses) prints one `error:` line and returns exit code 2.
+The JSON input files (train --config, gci --model, transpile --circuit and --map)
+are read by `simkit.json_fields`: an unknown, missing or mistyped field exits 2 the
+same way, and an integer field takes only a JSON integer (not 2.0 or true).
 """
 
 from __future__ import annotations
@@ -72,11 +75,12 @@ MAX_ITERS = 100_000
 # about lr radians, and the loader's probabilities repeat every 2 pi.
 MAX_LR = 2.0 * math.pi
 
-# Numeric train-config fields, each with its check (if any) beyond being a
-# finite number; the first three are required.
-TRAIN_NUMBERS = {"n_qubits": lambda v: v in (2, 3), "sigma": lambda v: v > 0,
-                 "z_max": lambda v: v > 0, "max_iters": lambda v: 0 <= v <= MAX_ITERS and v == int(v),
-                 "mu": None, "lr": lambda v: 0 < v <= MAX_LR, "tol": None, "seed": lambda v: v == int(v)}
+# The train config's fields, their kinds (see `simkit.json_fields`) and the range of
+# each field that has one (the seed's is `nonnegative_seed`).
+TRAIN_REQUIRED = {"n_qubits": "integer", "sigma": "number", "z_max": "number"}
+TRAIN_OPTIONAL = {"mu": "number", "lr": "number", "tol": "number", "max_iters": "integer", "seed": "integer"}
+TRAIN_RANGES = {"n_qubits": lambda v: v in (2, 3), "sigma": lambda v: v > 0, "z_max": lambda v: v > 0,
+                "max_iters": lambda v: 0 <= v <= MAX_ITERS, "lr": lambda v: 0 < v <= MAX_LR}
 
 
 class UsageError(Exception):
@@ -138,22 +142,18 @@ def _readout(args, n_qubits: int) -> noise.ConfusionMatrix | None:
 # --- train ---
 
 def cmd_train(args) -> Run:
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config must be a JSON object, got {type(cfg).__name__}")
-    for field, check in TRAIN_NUMBERS.items():
-        if field not in cfg:
-            if field in ("n_qubits", "sigma", "z_max"):
-                raise UsageError(f"config missing field {field!r}")
-        elif not (simkit.is_finite_real(cfg[field]) and (check is None or check(cfg[field]))):
-            raise UsageError(f"config field {field!r} has invalid value {cfg[field]!r}")
+    cfg = simkit.json_fields(json.loads(Path(args.config).read_text()), "train config",
+                             TRAIN_REQUIRED, TRAIN_OPTIONAL)
+    for field, in_range in TRAIN_RANGES.items():
+        if field in cfg and not in_range(cfg[field]):
+            raise UsageError(f"train config field {field!r} has invalid value {cfg[field]!r}")
     config_seed = nonnegative_seed(cfg.get("seed", 0))
     seed = args.seed if args.seed is not None else config_seed
     casts = {"lr": float, "max_iters": int, "tol": float}  # TrainConfig fields; unset ones keep its defaults
     train_cfg = variational.TrainConfig(seed=seed, **{k: cast(cfg[k]) for k, cast in casts.items() if k in cfg})
-    target = variational.make_target(int(cfg["n_qubits"]), float(cfg.get("mu", 0.0)),
+    target = variational.make_target(cfg["n_qubits"], float(cfg.get("mu", 0.0)),
                                      float(cfg["sigma"]), float(cfg["z_max"]))
-    report = variational.train_loader(int(cfg["n_qubits"]), target, train_cfg)
+    report = variational.train_loader(cfg["n_qubits"], target, train_cfg)
     history = [["iteration", "loss"]] + [[i, repr(loss)] for i, loss in enumerate(report.loss_history)]
     return Run({"train_report.json": report.to_dict(), "loss_history.csv": history},
                cfg | {"seed": seed}, seed, EXIT_OK if report.converged else EXIT_NO_CONVERGENCE)
@@ -163,14 +163,14 @@ def cmd_train(args) -> Run:
 
 def cmd_sweep(args) -> Run:
     if args.preset is not None:
+        if any(theta is not None for theta in (args.theta0, args.theta1, args.theta2)):
+            raise UsageError("--theta0, --theta1 and --theta2 cannot be given with --preset")
         p = SWEEP_PRESETS[args.preset]
         ansatz, theta0 = p["ansatz"], p["theta0"]
         theta1_spec, theta2_spec = p["theta1"], p.get("theta2")
     else:
-        ansatz, theta0 = args.ansatz, args.theta0
+        ansatz, theta0 = args.ansatz, 90.0 if args.theta0 is None else args.theta0
         theta1_spec, theta2_spec = args.theta1, args.theta2
-    if ansatz is None:
-        raise UsageError("either --preset or --ansatz is required")
     n_qubits = ANSATZ_QUBITS[ansatz]
     if theta1_spec is None:
         raise UsageError("a theta1 grid is required")
@@ -202,8 +202,8 @@ def cmd_sweep(args) -> Run:
     rows = [headers] + [[repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label.value]
                         for degs, probs, label in zip(grid, grid_probs, labels)]
     config = {"ansatz": ansatz, "theta0": theta0, "theta1": theta1_spec,
-              "theta2": theta2_spec, "shots": args.shots, "class_tol": class_tol,
-              "preset": args.preset}
+              "theta2": theta2_spec, "shots": args.shots, "readout_fidelity": args.readout_fidelity,
+              "class_tol": class_tol, "preset": args.preset}
     return Run({"sweep.csv": rows}, config, args.seed)
 
 
@@ -212,34 +212,33 @@ def cmd_sweep(args) -> Run:
 def cmd_gci(args) -> Run:
     if args.preset is not None:
         model_dict, defaults = PAPER_GCI["model"], PAPER_GCI
-    elif args.model is not None:
-        model_dict, defaults = json.loads(Path(args.model).read_text()), MODEL_GCI
     else:
-        raise UsageError("either --preset or --model is required")
+        model_dict, defaults = json.loads(Path(args.model).read_text()), MODEL_GCI
     loader_deg = args.loader_thetas or defaults["loader_thetas_deg"]
     transpiled_deg = args.transpiled_thetas or defaults["transpiled_thetas_deg"]
     levels = args.levels or defaults["levels"]
-    try:
-        model = GciModel.from_dict(model_dict)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"invalid model: {exc}") from exc
+    model = GciModel.from_dict(model_dict)
     if args.circuit == "transpiled" and transpiled_deg is None:
         raise UsageError("the transpiled circuit needs --transpiled-thetas")
 
     seed = args.seed or 0
+    readout = _readout(args, 1 + model.n_z)
     dist, report = riskpipe.run_gci_pipeline(
         model,
         circuit=args.circuit,
         loader_thetas=[math.radians(d) for d in loader_deg],
         transpiled_thetas=([math.radians(d) for d in transpiled_deg]
                            if transpiled_deg is not None else None),
-        confusion=_readout(args, 1 + model.n_z),
+        confusion=readout,
         shots=args.shots,
         seed=seed,
         levels=levels,
     )
+    echo = {"model": model.to_dict(), "circuit": args.circuit, "loader_thetas_deg": loader_deg,
+            "transpiled_thetas_deg": transpiled_deg, "shots": args.shots, "levels": levels,
+            "readout": readout.to_dict() if readout is not None else None}
     cdf = [["loss", "cdf"]] + [[repr(float(loss)), repr(float(c))] for loss, c in zip(dist.losses, dist.cdf)]
-    return Run({"gci_report.json": report, "cdf.csv": cdf}, report["config_echo"], seed)
+    return Run({"gci_report.json": report | {"config_echo": echo, "seed": seed}, "cdf.csv": cdf}, echo, seed)
 
 
 # --- transpile ---
@@ -251,10 +250,7 @@ def cmd_transpile(args) -> Run:
     else:
         cmap = transpiler.contralto_3q()
     layout = args.layout.split(",") if args.layout else None
-    try:
-        report = transpiler.route(circ, cmap, initial_layout=layout)
-    except transpiler.RoutingError as exc:
-        raise UsageError(str(exc)) from exc
+    report = transpiler.route(circ, cmap, initial_layout=layout)  # a RoutingError is a ValueError
     return Run({"transpiled.json": simkit.circuit_to_dict(report.output),
                 "transpile_report.json": report.to_dict()},
                {"circuit": args.circuit, "map": args.map, "preset": args.preset, "layout": args.layout},
@@ -271,8 +267,10 @@ def cmd_spam(args) -> Run:
     seed = args.seed or 0
     report = noise.spam_statistics(circ, args.reps, args.shots, seed=seed,
                                    confusion=_readout(args, circ.n_qubits))
+    config = {"ansatz": args.ansatz, "thetas_deg": args.thetas, "reps": args.reps, "shots": args.shots,
+              "readout_fidelity": args.readout_fidelity, "seed": seed}
     payload = report.to_dict() | {"thetas_deg": args.thetas, "ansatz": args.ansatz, "seed": seed}
-    return Run({"spam_report.json": payload}, payload, seed)
+    return Run({"spam_report.json": payload}, config, seed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,14 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=nonnegative_seed, default=None, help="RNG seed for numeric reproducibility")
 
     p_train = sub.add_parser("train", help="fit a loader to a discrete normal target")
-    p_train.add_argument("--config", required=True, help="training config JSON")
+    p_train.add_argument("--config", required=True,
+                         help=f"training config JSON {{{', '.join(TRAIN_REQUIRED | TRAIN_OPTIONAL)}}}")
     common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="angle sweep with concavity classification")
-    p_sweep.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
-    p_sweep.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), default=None)
-    p_sweep.add_argument("--theta0", type=float, default=90.0, help="fixed theta0 (degrees)")
+    grid = p_sweep.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
+    grid.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), default=None)
+    p_sweep.add_argument("--theta0", type=float, default=None, help="fixed theta0 (degrees, default 90)")
     p_sweep.add_argument("--theta1", default=None, help="degrees, start:stop:step or one value")
     p_sweep.add_argument("--theta2", default=None, help="degrees, start:stop:step or one value")
     p_sweep.add_argument("--shots", type=int, default=None)
@@ -311,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gci = sub.add_parser("gci", help="run the credit model circuit into a loss report")
-    p_gci.add_argument("--preset", choices=["paper-gci"], default=None)
-    p_gci.add_argument("--model", default=None, help="model JSON {p0, rho, lgd, n_z, z_max}")
+    source = p_gci.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=["paper-gci"], default=None)
+    source.add_argument("--model", default=None, help="model JSON {p0, rho, lgd, n_z, z_max}")
     p_gci.add_argument("--circuit", choices=["ideal", "transpiled"], default="ideal")
     p_gci.add_argument("--loader-thetas", type=float_list, default=None, help="degrees, comma separated")
     p_gci.add_argument("--transpiled-thetas", type=float_list, default=None,
@@ -324,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gci.set_defaults(func=cmd_gci)
 
     p_trans = sub.add_parser("transpile", help="route a circuit onto a coupling map")
-    p_trans.add_argument("--circuit", required=True, help="circuit JSON file")
+    p_trans.add_argument("--circuit", required=True,
+                         help="circuit JSON {n_qubits, gates[kind, qubits, angle_deg], bit_order}")
     target = p_trans.add_mutually_exclusive_group()
-    target.add_argument("--map", default=None, help="coupling map JSON file")
+    target.add_argument("--map", default=None, help="coupling map JSON {qubits, edges[a, b, tuned, phase_error_deg]}")
     target.add_argument("--preset", choices=["contralto-3q"], default=None)
     p_trans.add_argument("--layout", default=None, help="comma-separated physical names per logical qubit")
     common(p_trans)
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
             "outputs": list(run.files),
         }
         texts = {name: _render(name, payload) for name, payload in (run.files | {"manifest.json": manifest}).items()}
-    except (UsageError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out_dir)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .simkit import MAX_QUBITS, is_finite_real
+from .simkit import MAX_QUBITS, json_fields
 
 
 def normal_cdf(x: float) -> float:
@@ -98,16 +98,13 @@ class GciModel:
                 "n_z": self.n_z, "z_max": self.z_max}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GciModel":
-        if not isinstance(data, dict):
-            raise ValueError(f"a model must be a JSON object, got {type(data).__name__}")
-        bad = [k for k in ("p0", "rho", "lgd", "n_z", "z_max") if not is_finite_real(data[k])]
-        if bad:
-            raise ValueError(f"model fields {bad} must be finite numbers")
-        if not float(data["n_z"]).is_integer():
-            raise ValueError(f"model field n_z must be an integer, got {data['n_z']!r}")
+    def from_dict(cls, data) -> "GciModel":
+        """The model of a parsed JSON object {p0, rho, lgd, n_z, z_max}, n_z an integer; a
+        non-object or an unknown, missing or mistyped field raises ValueError."""
+        json_fields(data, "model", {"p0": "number", "rho": "number", "lgd": "number", "n_z": "integer",
+                                    "z_max": "number"}, {})
         return cls(p0=float(data["p0"]), rho=float(data["rho"]), lgd=float(data["lgd"]),
-                   n_z=int(data["n_z"]), z_max=float(data["z_max"]))
+                   n_z=data["n_z"], z_max=float(data["z_max"]))
 
 
 def pd_exact(model: GciModel, z: float) -> float:

@@ -110,7 +110,7 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
                      confusion: ConfusionMatrix | None = None,
                      shots: int | None = None, seed: int = 0,
                      levels: Sequence[float] = (0.95,)) -> tuple[LossDistribution, dict]:
-    """Simulate the model circuit and post-process into a loss distribution.
+    """Simulate the model circuit into a loss distribution and a report of results (no input echo).
 
     The simulator output is reindexed so the asset qubit is the most
     significant bit of every outcome index (the z-register fills the low
@@ -145,16 +145,5 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
         "losses": dist.losses.tolist(),
         "pdf": dist.pdf.tolist(),
         "cdf": dist.cdf.tolist(),
-        "config_echo": {
-            "model": model.to_dict(),
-            "circuit": circuit,
-            "loader_thetas_deg": [math.degrees(t) for t in loader_thetas],
-            "transpiled_thetas_deg": ([math.degrees(t) for t in transpiled_thetas]
-                                      if transpiled_thetas is not None else None),
-            "shots": shots,
-            "levels": list(levels),
-            "readout": confusion.to_dict() if confusion is not None else None,
-        },
-        "seed": seed,
     }
     return dist, report

@@ -316,30 +316,47 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     return {"n_qubits": circuit.n_qubits, "bit_order": "q0_msb", "gates": gates}
 
 
-def is_finite_real(value) -> bool:
-    """True for a parsed JSON number that is finite as a float; False for a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+# Each kind a JSON input field can take, with its description and its check.
+_FIELD_KINDS = {
+    "number": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "strings": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "integers": ("a list of integers", lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
 
 
-def circuit_from_dict(data: dict) -> Circuit:
-    """The circuit of a parsed JSON object; a field of the wrong type raises ValueError."""
-    if not isinstance(data, dict) or not isinstance(data["gates"], list):
-        raise ValueError("a circuit must be a JSON object with a list of gates")
-    if type(data["n_qubits"]) is not int:  # a bool or a float is not a qubit count
-        raise ValueError(f"n_qubits must be an integer, got {data['n_qubits']!r}")
+def json_fields(data, what: str, required: dict[str, str], optional: dict[str, str]) -> dict:
+    """`data`, checked to be a parsed JSON object whose fields have the kinds (of `_FIELD_KINDS`) that
+    `required` and `optional` map them to; else one ValueError names `what` and the field. A number is
+    finite as a float, and an integer is a JSON integer: neither is a bool, and 2.0 is not an integer."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    kinds = required | optional
+    for name, value in data.items():
+        if name not in kinds:
+            raise ValueError(f"{what} has unknown field {name!r}; its fields are {', '.join(kinds)}")
+        description, check = _FIELD_KINDS[kinds[name]]
+        if not check(value):
+            raise ValueError(f"{what} field {name!r} must be {description}, got {value!r}")
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{what} is missing field {name!r}")
+    return data
+
+
+def circuit_from_dict(data) -> Circuit:
+    """The circuit of a parsed JSON object {n_qubits, gates[kind, qubits, angle_deg], bit_order}; a
+    non-object or an unknown, missing or mistyped field raises ValueError, as does a bit_order but q0_msb."""
+    json_fields(data, "circuit", {"n_qubits": "integer", "gates": "list"}, {"bit_order": "string"})
     if data.get("bit_order", "q0_msb") != "q0_msb":  # the one order amplitudes are indexed in
         raise ValueError(f"bit_order must be q0_msb, got {data['bit_order']!r}")
     gates = []
-    for entry in data["gates"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"each gate must be a JSON object, got {entry!r}")
-        qubits, angle = entry["qubits"], entry.get("angle_deg")
-        if not (isinstance(qubits, list) and all(type(q) is int for q in qubits)):
-            raise ValueError(f"gate qubits must be a list of integers, got {qubits!r}")
-        if angle is not None and not is_finite_real(angle):
-            raise ValueError(f"gate angle_deg must be a finite number, got {angle!r}")
-        gates.append(Gate(entry["kind"], tuple(qubits), math.radians(angle) if angle is not None else None))
+    for i, entry in enumerate(data["gates"]):
+        json_fields(entry, f"gate {i}", {"kind": "string", "qubits": "integers"}, {"angle_deg": "number"})
+        angle = entry.get("angle_deg")
+        gates.append(Gate(entry["kind"], tuple(entry["qubits"]), math.radians(angle) if angle is not None else None))
     return Circuit(data["n_qubits"], gates)
 
 

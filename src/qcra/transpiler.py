@@ -79,22 +79,16 @@ class CouplingMap:
         return None
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CouplingMap":
-        """The map of a parsed JSON object; a field of the wrong type raises ValueError."""
-        if not isinstance(data, dict) or not isinstance(data["edges"], list):
-            raise ValueError("a coupling map must be a JSON object with a list of edges")
-        names = data["qubits"]
-        if not (isinstance(names, list) and all(isinstance(q, str) for q in names)):
-            raise ValueError(f"map qubits must be a list of names, got {names!r}")
+    def from_dict(cls, data) -> "CouplingMap":
+        """The map of a parsed JSON object {qubits, edges[a, b, tuned, phase_error_deg (default 0)]};
+        a non-object or an unknown, missing or mistyped field raises ValueError."""
+        simkit.json_fields(data, "coupling map", {"qubits": "strings", "edges": "list"}, {})
         edges = []
-        for e in data["edges"]:
-            if not (isinstance(e, dict) and all(isinstance(e[k], str) for k in ("a", "b", "tuned"))):
-                raise ValueError(f"each edge must be a JSON object naming a, b and tuned, got {e!r}")
-            phase = e.get("phase_error_deg", 0.0)
-            if not simkit.is_finite_real(phase):
-                raise ValueError(f"edge phase_error_deg must be a finite number, got {phase!r}")
-            edges.append(Edge(e["a"], e["b"], e["tuned"], math.radians(phase)))
-        return cls(names, edges)
+        for i, e in enumerate(data["edges"]):
+            simkit.json_fields(e, f"edge {i}", {"a": "string", "b": "string", "tuned": "string"},
+                               {"phase_error_deg": "number"})
+            edges.append(Edge(e["a"], e["b"], e["tuned"], math.radians(e.get("phase_error_deg", 0.0))))
+        return cls(data["qubits"], edges)
 
 
 def contralto_3q() -> CouplingMap:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcra import cli
 
@@ -27,6 +32,29 @@ NEGATIVE_SEED = [["train", "--config", TRAIN, "--seed", "-1"], ["train", "--conf
                  ["sweep", "--preset", "table2-2q", "--seed", "-1"], ["gci", "--preset", "paper-gci", "--seed", "-1"],
                  ["transpile", "--circuit", BELL, "--seed", "-1"],
                  ["spam", "--ansatz", "2q", "--thetas", "90,200", "--seed", "-1"]]
+# Malformed input files, each with the start of its one error line, which names the file and the field
+FIELD_ERRORS = [
+    (["train", "--config", TRAIN | {"max_iter": 5}], "train config has unknown field 'max_iter'"),
+    (["train", "--config", {"n_qubits": 2, "z_max": 1.5}], "train config is missing field 'sigma'"),
+    (["train", "--config", TRAIN | {"n_qubits": 2.0}], "train config field 'n_qubits' must be an integer"),
+    (["train", "--config", TRAIN | {"max_iters": 5.0}], "train config field 'max_iters' must be an integer"),
+    (["train", "--config", TRAIN | {"seed": 3.0}], "train config field 'seed' must be an integer"),
+    (["gci", "--model", MODEL | {"pd": 0.1}], "model has unknown field 'pd'"),
+    (["gci", "--model", {k: v for k, v in MODEL.items() if k != "p0"}], "model is missing field 'p0'"),
+    (["gci", "--model", MODEL | {"n_z": 2.0}], "model field 'n_z' must be an integer"),
+    (["transpile", "--circuit", {"n_qubits": 2, "gates": [], "comment": ""}], "circuit has unknown field 'comment'"),
+    (["transpile", "--circuit", {"n_qubits": 2}], "circuit is missing field 'gates'"),
+    (["transpile", "--circuit", {"n_qubits": 2, "gates": [GATE | {"angle": 90.0}]}],
+     "gate 0 has unknown field 'angle'"),
+    (["transpile", "--circuit", {"n_qubits": 2, "gates": [{"qubits": [0]}]}], "gate 0 is missing field 'kind'"),
+    (["transpile", "--circuit", {"n_qubits": 2, "gates": [GATE | {"angle_deg": None}]}],
+     "gate 0 field 'angle_deg' must be a finite number"),
+    (["transpile", "--circuit", BELL, "--map", PAIR | {"edges": [EDGE | {"phase_error": 0.5}]}],
+     "edge 0 has unknown field 'phase_error'"),
+    (["transpile", "--circuit", BELL, "--map", {"edges": []}], "coupling map is missing field 'qubits'"),
+    (["transpile", "--circuit", BELL, "--map", PAIR | {"edges": [{"a": "a", "b": "b"}]}],
+     "edge 0 is missing field 'tuned'"),
+]
 
 
 def run_cli(tmp_path, capsys, *argv):
@@ -115,12 +143,26 @@ class TestSweepInputErrors:
         ["train", "--config", TRAIN | {"sigma": 1e308}],
         ["transpile", "--circuit", BELL, "--preset", "contralto-3q", "--map", LINE5],
         *NEGATIVE_SEED,
+        ["sweep", "--preset", "table2-2q", "--ansatz", "3q", "--theta1", "100"],
+        ["sweep", "--preset", "table2-2q", "--theta1", "100"],
+        ["sweep", "--preset", "table2-2q", "--theta0", "90"],
+        ["sweep", "--preset", "coarse-3q", "--theta2", "90"],
+        ["gci", "--preset", "paper-gci", "--model", MODEL],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
         rc, err = run_cli(tmp_path, capsys, *argv)
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", FIELD_ERRORS, ids=[m for _, m in FIELD_ERRORS])
+    def test_input_file_error_names_the_field(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(argv)]
+        assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_negative_seed_has_one_message(self, tmp_path, capsys):
         errors = {run_cli(tmp_path, capsys, *[as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(argv)])[1]
@@ -197,6 +239,29 @@ class TestReruns:
         assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "5" / "sweep.csv").read_bytes()
 
 
+class TestRecordedInputs:
+    def test_gci_echoes_the_angles_as_given(self, tmp_path, capsys):
+        rc, err = run_cli(tmp_path, capsys, "gci", "--preset", "paper-gci", "--circuit", "transpiled",
+                          "--loader-thetas", "90,7.5", "--transpiled-thetas", "1.5,224,90,90,180")
+        assert rc == cli.EXIT_OK, err
+        echo = json.loads((tmp_path / "gci_report.json").read_text())["config_echo"]
+        assert echo["loader_thetas_deg"] == [90.0, 7.5]
+        assert echo["transpiled_thetas_deg"] == [1.5, 224.0, 90.0, 90.0, 180.0]
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == echo
+
+    @pytest.mark.parametrize("argv", [["sweep", "--preset", "table2-2q", "--shots", "50"],
+                                      ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "2", "--shots", "50"]],
+                             ids=["sweep", "spam"])
+    def test_manifest_records_the_readout_fidelity(self, tmp_path, capsys, argv):
+        rc, err = run_cli(tmp_path, capsys, *argv, "--readout-fidelity", "0.97", "--seed", "2")
+        assert rc == cli.EXIT_OK, err
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["readout_fidelity"] == 0.97 and config["shots"] == 50
+        if argv[0] == "spam":
+            assert config == {"ansatz": "2q", "thetas_deg": [90.0, 200.0], "reps": 2, "shots": 50,
+                              "readout_fidelity": 0.97, "seed": 2}
+
+
 class TestProtocol:
     """Commands compute; main alone writes the report files and then the manifest."""
 
@@ -260,3 +325,97 @@ class TestProtocol:
         assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__,
                                            "platform": platform.platform(), "cpu_count": os.cpu_count()}
         assert cli.environment.cache_info().misses == 1  # computed once per process
+
+
+# A field's value is drawn from its valid values (most often), its boundary values, a wrong JSON
+# kind, or dropped; an object sometimes gains an unknown key.
+WRONG_KINDS = st.sampled_from([None, True, "2", [2], {"k": 2}, 2.5, math.nan, math.inf])
+MODES = ("valid",) * 17 + ("boundary", "wrong", "drop")
+
+
+@st.composite
+def json_objects(draw, fields, keep=()):
+    """A JSON object from `fields`, which maps each name to (valid strategy, boundary values);
+    the fields in `keep` are never dropped."""
+    obj = {}
+    for name, (valid, boundary) in fields.items():
+        mode = draw(st.sampled_from(MODES))
+        if mode == "drop" and name not in keep:
+            continue
+        # a kept field drawn as "drop" takes a valid value
+        obj[name] = draw({"boundary": st.sampled_from(boundary), "wrong": WRONG_KINDS}.get(mode, valid))
+    if draw(st.integers(0, 19)) == 0:
+        obj[draw(st.sampled_from(["max_iter", "phase_error", "comment"]))] = 1
+    return obj
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+NAMES = ["a", "b", "c"]
+GATES = json_objects({
+    "kind": (st.sampled_from(["ry", "rz", "h", "x", "cz", "cnot", "cry"]), ["swap", ""]),
+    "qubits": (st.lists(st.integers(0, 2), min_size=1, max_size=2), [[0, 0], [5], [1.0], [-1]]),
+    "angle_deg": (floats(-720, 720), [0.0, 1e308, -1e308]),
+})
+EDGES = json_objects({
+    "a": (st.just("a"), ["b", "z"]),
+    "b": (st.sampled_from(["b", "c"]), ["a", "z"]),
+    "tuned": (st.just("a"), ["b", "c", "z"]),
+    "phase_error_deg": (floats(-360, 360), [0.0, 1e308]),
+})
+# (argv before the input file, the flag that takes it, its fields, the fields never dropped)
+INPUT_FILES = {
+    "train": (["train"], "--config", {
+        "n_qubits": (st.sampled_from([2, 3]), [0, 1, 4, 2.0]),
+        "sigma": (floats(0.1, 3.0), [0.0, -1.0, 1e-320, 1e308]),
+        "z_max": (floats(0.5, 3.0), [0.0, 1e308]),
+        "mu": (floats(-1.0, 1.0), [1e308, -1e308]),
+        "lr": (floats(0.01, 0.5), [0.0, 1e-300, cli.MAX_LR, 2 * cli.MAX_LR]),
+        "tol": (floats(0.0, 0.05), [0.0, -1.0, 1.0]),
+        "max_iters": (st.integers(0, 50), [0, 50, -1, 5.0]),
+        "seed": (st.integers(0, 2**32), [0, -1, 2**64]),
+    }, ("max_iters",)),  # an absent max_iters means 2000 Adam steps
+    "model": (["gci"], "--model", {
+        "p0": (floats(0.01, 0.99), [0.0, 1.0, 1e-320, 1 - 2**-53]),
+        "rho": (floats(0.0, 0.9), [0.0, 1.0, 0.999999, -0.1]),
+        "lgd": (floats(0.0, 1e4), [0.0, -1.0, 1e308]),
+        "n_z": (st.just(2), [0, 1, 3, 11, 12, 2.0]),
+        "z_max": (floats(0.1, 3.0), [0.0, -1.0, 1e308]),
+    }, ()),
+    "circuit": (["transpile"], "--circuit", {
+        "n_qubits": (st.integers(1, 3), [0, 13, 2.0]),
+        "gates": (st.lists(GATES, max_size=4), [[{}], [{"kind": "h"}], ["h"]]),
+        "bit_order": (st.just("q0_msb"), ["q0_lsb"]),
+    }, ()),
+    "map": (["transpile", "--circuit", BELL], "--map", {
+        "qubits": (st.permutations(NAMES), [[], ["a"], ["a", "a"]]),
+        "edges": (st.lists(EDGES, min_size=1, max_size=2), [[], [{}], ["a-b"]]),
+    }, ()),
+}
+
+
+class TestInputFileProperty:
+    """Any of the four input files ends in exit 0 or 3 with nothing on stderr, or in exit 2 with
+    one stderr line and no --out-dir."""
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_stderr(self, kind, data):
+        argv, flag, fields, keep = INPUT_FILES[kind]
+        obj = data.draw(json_objects(fields, keep), label=kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "input.json", Path(tmp) / "out"
+            path.write_text(json.dumps(obj))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([*argv, flag, str(path), "--out-dir", str(out)])
+            err = err.getvalue()
+            assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE)
+            if rc == cli.EXIT_USAGE:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not out.exists()
+            else:
+                assert err == ""

@@ -351,7 +351,7 @@ class TestJsonInterface:
 
     @pytest.mark.parametrize("data, match", [
         ([{"kind": "h", "qubits": [0]}], "JSON object"),
-        ({"n_qubits": 1, "gates": {"kind": "h"}}, "list of gates"),
+        ({"n_qubits": 1, "gates": {"kind": "h"}}, "gates"),
         ({"n_qubits": 2.0, "gates": []}, "n_qubits"),
         ({"n_qubits": True, "gates": []}, "n_qubits"),
         ({"n_qubits": 1, "gates": ["h"]}, "JSON object"),
