@@ -150,7 +150,7 @@ def build_gci_ideal(model: GciModel, loader_thetas: Sequence[float] = (math.pi /
     if model.n_z != 2:
         raise ValueError(f"only the 2-qubit z-register instance is supported, got n_z={model.n_z}")
     if len(loader_thetas) != 2:
-        raise ValueError(f"loader takes 2 angles, got {len(loader_thetas)}")
+        raise ValueError(f"the ideal GCI circuit takes 2 loader angles, got {len(loader_thetas)}")
     t0, t1 = (float(t) for t in loader_thetas)
     gates = [
         Gate.ry(0, t0),
@@ -172,7 +172,7 @@ def build_gci_transpiled(thetas: Sequence[float]) -> Circuit:
     the remaining single-qubit RZ angles are fixed constants.
     """
     if len(thetas) != 5:
-        raise ValueError(f"expected 5 angles, got {len(thetas)}")
+        raise ValueError(f"the transpiled GCI circuit takes 5 angles, got {len(thetas)}")
     t0, t1, t2, t3, t4 = (float(t) for t in thetas)
     rz0_pre, rz0_post = (math.radians(d) for d in TRANSPILED_RZ_Q0)
     rz2_pre, rz2_post = (math.radians(d) for d in TRANSPILED_RZ_Q2)

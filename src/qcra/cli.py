@@ -14,6 +14,13 @@ command's input checks, a report holding NaN or Infinity, or an input file or
 The JSON input files (train --config, gci --model, transpile --circuit and --map)
 are read by `simkit.json_fields`: an unknown, missing or mistyped field exits 2 the
 same way, and an integer field takes only a JSON integer (not 2.0 or true).
+
+Each input has one meaning. Apart from --out-dir and --seed (which changes
+only what is sampled), every flag a command accepts changes its output, and a
+combination in which one could not exits 2: sweep picks its loader from
+--theta2, gci's --thetas are the angles of the circuit --circuit names, a
+--model run has no transpiled circuit, and a --layout names one physical qubit
+per logical one.
 """
 
 from __future__ import annotations
@@ -42,19 +49,19 @@ EXIT_NO_CONVERGENCE = 3
 
 PAPER_GCI = {
     "model": {"p0": 0.25, "rho": 0.027, "lgd": 1000.0, "n_z": 2, "z_max": 1.0},
-    "loader_thetas_deg": [90.0, 224.0],
-    "transpiled_thetas_deg": [90.0, 224.0, 90.0, 90.0, 180.0],
+    "thetas_deg": {"ideal": [90.0, 224.0], "transpiled": [90.0, 224.0, 90.0, 90.0, 180.0]},
     "levels": [0.95],
 }
 
-# Loader angles, transpiled angles and levels of a --model run; a preset run
-# takes them from PAPER_GCI.
-MODEL_GCI = {"loader_thetas_deg": [90.0, 90.0], "transpiled_thetas_deg": None, "levels": [0.95]}
+# Default angles and levels of a --model run, which has only the ideal circuit:
+# the transpiled one's angles are the paper's, set by hand for its model.
+MODEL_GCI = {"thetas_deg": {"ideal": [90.0, 90.0]}, "levels": [0.95]}
 
+# A theta2 grid makes a sweep run the 3q loader; without one it runs the 2q loader.
 SWEEP_PRESETS = {
-    "table2-2q": {"ansatz": "2q", "theta0": 90.0, "theta1": "90:450:21"},
-    "coarse-3q": {"ansatz": "3q", "theta0": 90.0, "theta1": "90:450:36", "theta2": "90:450:36"},
-    "fine-3q": {"ansatz": "3q", "theta0": 90.0, "theta1": "100:250:7.5", "theta2": "90:380:14.5"},
+    "table2-2q": {"theta0": 90.0, "theta1": "90:450:21"},
+    "coarse-3q": {"theta0": 90.0, "theta1": "90:450:36", "theta2": "90:450:36"},
+    "fine-3q": {"theta0": 90.0, "theta1": "100:250:7.5", "theta2": "90:380:14.5"},
 }
 
 
@@ -162,22 +169,17 @@ def cmd_train(args) -> Run:
 # --- sweep ---
 
 def cmd_sweep(args) -> Run:
-    if args.preset is not None:
-        if any(theta is not None for theta in (args.theta0, args.theta1, args.theta2)):
-            raise UsageError("--theta0, --theta1 and --theta2 cannot be given with --preset")
+    if args.preset is not None:  # the parser keeps --theta1 and --preset apart
+        if args.theta0 is not None or args.theta2 is not None:
+            raise UsageError("--theta0 and --theta2 cannot be given with --preset")
         p = SWEEP_PRESETS[args.preset]
-        ansatz, theta0 = p["ansatz"], p["theta0"]
-        theta1_spec, theta2_spec = p["theta1"], p.get("theta2")
+        theta0, theta1_spec, theta2_spec = p["theta0"], p["theta1"], p.get("theta2")
     else:
-        ansatz, theta0 = args.ansatz, 90.0 if args.theta0 is None else args.theta0
+        theta0 = 90.0 if args.theta0 is None else args.theta0
         theta1_spec, theta2_spec = args.theta1, args.theta2
-    n_qubits = ANSATZ_QUBITS[ansatz]
-    if theta1_spec is None:
-        raise UsageError("a theta1 grid is required")
-    if n_qubits == 3 and theta2_spec is None:
-        raise UsageError("the 3q ansatz needs a theta2 grid")
-    theta1s = _parse_grid(str(theta1_spec))
-    theta2s = _parse_grid(str(theta2_spec)) if n_qubits == 3 else [None]
+    n_qubits = 2 if theta2_spec is None else 3
+    theta1s = _parse_grid(theta1_spec)
+    theta2s = [None] if theta2_spec is None else _parse_grid(theta2_spec)
     if len(theta1s) * len(theta2s) > MAX_GRID_POINTS:
         raise UsageError(f"sweep grid has {len(theta1s) * len(theta2s)} points, "
                          f"more than {MAX_GRID_POINTS}")
@@ -186,7 +188,7 @@ def cmd_sweep(args) -> Run:
     class_tol = args.class_tol if args.class_tol is not None else (
         1e-3 if args.shots is not None else 1e-9)
     readout = _readout(args, n_qubits)
-    grid = [[theta0, t1] + ([t2] if n_qubits == 3 else []) for t1 in theta1s for t2 in theta2s]
+    grid = [[theta0, t1, t2][:n_qubits] for t1 in theta1s for t2 in theta2s]
 
     # one batched simulation of every grid point
     rad = np.array([[math.radians(d) for d in degs] for degs in grid])
@@ -197,13 +199,12 @@ def cmd_sweep(args) -> Run:
         grid_probs = noise.sample_rows(grid_probs, args.shots, args.seed or 0)
     labels = circuits.classify_concavity(grid_probs, class_tol)
 
-    headers = (["theta0_deg", "theta1_deg"] + (["theta2_deg"] if n_qubits == 3 else [])
+    headers = (["theta0_deg", "theta1_deg", "theta2_deg"][:n_qubits]
                + [f"p_{format(b, f'0{n_qubits}b')}" for b in range(2**n_qubits)] + ["class"])
     rows = [headers] + [[repr(float(d)) for d in degs] + [repr(float(p)) for p in probs] + [label.value]
                         for degs, probs, label in zip(grid, grid_probs, labels)]
-    config = {"ansatz": ansatz, "theta0": theta0, "theta1": theta1_spec,
-              "theta2": theta2_spec, "shots": args.shots, "readout_fidelity": args.readout_fidelity,
-              "class_tol": class_tol, "preset": args.preset}
+    config = {"theta0": theta0, "theta1": theta1_spec, "theta2": theta2_spec, "shots": args.shots,
+              "readout_fidelity": args.readout_fidelity, "class_tol": class_tol, "preset": args.preset}
     return Run({"sweep.csv": rows}, config, args.seed)
 
 
@@ -212,31 +213,20 @@ def cmd_sweep(args) -> Run:
 def cmd_gci(args) -> Run:
     if args.preset is not None:
         model_dict, defaults = PAPER_GCI["model"], PAPER_GCI
+    elif args.circuit == "transpiled":
+        raise UsageError("the transpiled circuit takes no --model, only --preset paper-gci")
     else:
         model_dict, defaults = json.loads(Path(args.model).read_text()), MODEL_GCI
-    loader_deg = args.loader_thetas or defaults["loader_thetas_deg"]
-    transpiled_deg = args.transpiled_thetas or defaults["transpiled_thetas_deg"]
+    thetas_deg = args.thetas or defaults["thetas_deg"][args.circuit]
     levels = args.levels or defaults["levels"]
     model = GciModel.from_dict(model_dict)
-    if args.circuit == "transpiled" and transpiled_deg is None:
-        raise UsageError("the transpiled circuit needs --transpiled-thetas")
 
     seed = args.seed or 0
     readout = _readout(args, 1 + model.n_z)
-    dist, report = riskpipe.run_gci_pipeline(
-        model,
-        circuit=args.circuit,
-        loader_thetas=[math.radians(d) for d in loader_deg],
-        transpiled_thetas=([math.radians(d) for d in transpiled_deg]
-                           if transpiled_deg is not None else None),
-        confusion=readout,
-        shots=args.shots,
-        seed=seed,
-        levels=levels,
-    )
-    echo = {"model": model.to_dict(), "circuit": args.circuit, "loader_thetas_deg": loader_deg,
-            "transpiled_thetas_deg": transpiled_deg, "shots": args.shots, "levels": levels,
-            "readout": readout.to_dict() if readout is not None else None}
+    dist, report = riskpipe.run_gci_pipeline(model, args.circuit, [math.radians(d) for d in thetas_deg],
+                                             confusion=readout, shots=args.shots, seed=seed, levels=levels)
+    echo = {"model": model.to_dict(), "circuit": args.circuit, "thetas_deg": thetas_deg, "shots": args.shots,
+            "levels": levels, "readout": readout.to_dict() if readout is not None else None}
     cdf = [["loss", "cdf"]] + [[repr(float(loss)), repr(float(c))] for loss, c in zip(dist.losses, dist.cdf)]
     return Run({"gci_report.json": report | {"config_echo": echo, "seed": seed}, "cdf.csv": cdf}, echo, seed)
 
@@ -300,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="angle sweep with concavity classification")
     grid = p_sweep.add_mutually_exclusive_group(required=True)
     grid.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
-    grid.add_argument("--ansatz", choices=sorted(ANSATZ_QUBITS), default=None)
+    grid.add_argument("--theta1", default=None, help="degrees, start:stop:step or one value")
     p_sweep.add_argument("--theta0", type=float, default=None, help="fixed theta0 (degrees, default 90)")
-    p_sweep.add_argument("--theta1", default=None, help="degrees, start:stop:step or one value")
-    p_sweep.add_argument("--theta2", default=None, help="degrees, start:stop:step or one value")
+    p_sweep.add_argument("--theta2", default=None,
+                         help="degrees, start:stop:step or one value; selects the 3q loader (omit for 2q)")
     p_sweep.add_argument("--shots", type=int, default=None)
     p_sweep.add_argument("--readout-fidelity", type=float, default=None)
     p_sweep.add_argument("--class-tol", type=float, default=None)
@@ -314,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_gci.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=["paper-gci"], default=None)
     source.add_argument("--model", default=None, help="model JSON {p0, rho, lgd, n_z, z_max}")
-    p_gci.add_argument("--circuit", choices=["ideal", "transpiled"], default="ideal")
-    p_gci.add_argument("--loader-thetas", type=float_list, default=None, help="degrees, comma separated")
-    p_gci.add_argument("--transpiled-thetas", type=float_list, default=None,
-                       help="degrees, five comma-separated values")
+    p_gci.add_argument("--circuit", choices=["ideal", "transpiled"], default="ideal",
+                       help="transpiled needs --preset paper-gci")
+    p_gci.add_argument("--thetas", type=float_list, default=None,
+                       help="degrees, comma separated: 2 angles ideal, 5 transpiled")
     p_gci.add_argument("--levels", type=float_list, default=None, help="confidence levels, comma separated")
     p_gci.add_argument("--shots", type=int, default=None)
     p_gci.add_argument("--readout-fidelity", type=float, default=None)

@@ -104,13 +104,15 @@ def gci_layout(model: GciModel) -> RegisterLayout:
                           lgd_per_asset=(model.lgd,))
 
 
-def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
-                     loader_thetas: Sequence[float] = (math.pi / 2, math.pi / 2),
-                     transpiled_thetas: Sequence[float] | None = None,
+def run_gci_pipeline(model: GciModel, circuit: str, thetas: Sequence[float],
                      confusion: ConfusionMatrix | None = None,
                      shots: int | None = None, seed: int = 0,
                      levels: Sequence[float] = (0.95,)) -> tuple[LossDistribution, dict]:
     """Simulate the model circuit into a loss distribution and a report of results (no input echo).
+
+    `thetas` are the radian angles of the `circuit` named: 2 for "ideal", 5 for
+    "transpiled". The transpiled circuit's angles carry p0 and rho, so it reads
+    only the model's lgd and n_z.
 
     The simulator output is reindexed so the asset qubit is the most
     significant bit of every outcome index (the z-register fills the low
@@ -120,11 +122,9 @@ def run_gci_pipeline(model: GciModel, circuit: str = "ideal",
     simulator's order, before that reindexing and before sampling.
     """
     if circuit == "ideal":
-        circ = build_gci_ideal(model, loader_thetas)
+        circ = build_gci_ideal(model, thetas)
     elif circuit == "transpiled":
-        if transpiled_thetas is None:
-            raise ValueError("transpiled circuit requires 5 angles")
-        circ = build_gci_transpiled(transpiled_thetas)
+        circ = build_gci_transpiled(thetas)
     else:
         raise ValueError(f"unknown circuit choice {circuit!r}")
     probs = simkit.born_probabilities(simkit.simulate(circ))

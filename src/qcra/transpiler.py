@@ -226,15 +226,15 @@ def route(circuit: Circuit, cmap: CouplingMap, initial_layout: Sequence[str] | N
           counter_phases: bool = True) -> TranspileReport:
     """Map a circuit onto the device graph, inserting SWAPs and lowering gates.
 
-    `initial_layout` names the physical qubit of each logical one (default:
-    logical l on physical l). Every output two-qubit gate acts on a coupled pair.
+    `initial_layout` names the physical qubit of each logical one, one name each
+    (default: logical l on physical l). Every output two-qubit gate acts on a coupled pair.
     """
     n, n_phys = circuit.n_qubits, len(cmap.qubit_names)
     if n > n_phys:
         raise RoutingError(f"circuit needs {n} qubits, map has {n_phys}")
-    l2p = list(range(n)) if initial_layout is None else [cmap.index(q) for q in initial_layout][:n]
+    l2p = list(range(n)) if initial_layout is None else [cmap.index(q) for q in initial_layout]
     if len(l2p) != n:
-        raise RoutingError("initial layout shorter than the circuit register")
+        raise RoutingError(f"initial layout names {len(l2p)} qubits, the circuit has {n}")
     if len(set(l2p)) != n:
         raise RoutingError("initial layout maps two logical qubits to one physical qubit")
     initial = {l: cmap.qubit_names[p] for l, p in enumerate(l2p)}

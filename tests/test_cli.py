@@ -80,14 +80,14 @@ class TestSweepInputErrors:
     @pytest.mark.parametrize("extra", [
         ["sweep", "--preset", "table2-2q", "--shots", "0"],
         ["sweep", "--preset", "table2-2q", "--shots", "-3"],
-        ["sweep", "--ansatz", "2q", "--theta1", "0:inf:1"],
-        ["sweep", "--ansatz", "2q", "--theta1=-inf:0:1"],
-        ["sweep", "--ansatz", "2q", "--theta1", "nan"],
-        ["sweep", "--ansatz", "2q", "--theta1", "0:1:nan"],
-        ["sweep", "--ansatz", "3q", "--theta1", "0", "--theta2", "inf"],
-        ["sweep", "--ansatz", "2q", "--theta1", "0:1e6:0.5"],
-        ["sweep", "--ansatz", "2q", "--theta1", "0:1e300:1e-300"],
-        ["sweep", "--ansatz", "3q", "--theta1", "0:400:1", "--theta2", "0:400:1"],
+        ["sweep", "--theta1", "0:inf:1"],
+        ["sweep", "--theta1=-inf:0:1"],
+        ["sweep", "--theta1", "nan"],
+        ["sweep", "--theta1", "0:1:nan"],
+        ["sweep", "--theta1", "0", "--theta2", "inf"],
+        ["sweep", "--theta1", "0:1e6:0.5"],
+        ["sweep", "--theta1", "0:1e300:1e-300"],
+        ["sweep", "--theta1", "0:400:1", "--theta2", "0:400:1"],
         ["sweep", "--preset", "table2-2q", "--shots", TOO_MANY_SHOTS],
         ["gci", "--preset", "paper-gci", "--shots", TOO_MANY_SHOTS],
         ["gci", "--preset", "paper-gci", "--shots", str(2**53 + 1)],
@@ -143,17 +143,24 @@ class TestSweepInputErrors:
         ["train", "--config", TRAIN | {"sigma": 1e308}],
         ["transpile", "--circuit", BELL, "--preset", "contralto-3q", "--map", LINE5],
         *NEGATIVE_SEED,
-        ["sweep", "--preset", "table2-2q", "--ansatz", "3q", "--theta1", "100"],
+        ["sweep", "--preset", "table2-2q", "--theta2", "100"],
         ["sweep", "--preset", "table2-2q", "--theta1", "100"],
         ["sweep", "--preset", "table2-2q", "--theta0", "90"],
         ["sweep", "--preset", "coarse-3q", "--theta2", "90"],
         ["gci", "--preset", "paper-gci", "--model", MODEL],
+        # inputs the run would otherwise ignore
+        ["gci", "--model", MODEL, "--circuit", "transpiled"],
+        ["gci", "--model", MODEL, "--circuit", "transpiled", "--thetas", "90,224,90,90,180"],
+        ["gci", "--preset", "paper-gci", "--thetas", "1,2,3,4,5"],
+        ["gci", "--preset", "paper-gci", "--circuit", "transpiled", "--thetas", "90,224"],
+        ["transpile", "--circuit", BELL, "--layout", "D3,A6,C4"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, extra):
         argv = [as_arg(tmp_path, f"input{i}", a) for i, a in enumerate(extra)]
         rc, err = run_cli(tmp_path, capsys, *argv)
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unrecognized arguments" not in err  # an unknown flag would pass for the wrong reason
 
     @pytest.mark.parametrize("argv, message", FIELD_ERRORS, ids=[m for _, m in FIELD_ERRORS])
     def test_input_file_error_names_the_field(self, tmp_path, capsys, argv, message):
@@ -193,7 +200,7 @@ class TestSweepInputErrors:
     @pytest.mark.parametrize("thetas", [["--theta0", "90", "--theta1", "1e20"], ["--theta0", "1e20", "--theta1", "90"]],
                              ids=["theta1", "theta0"])
     def test_huge_angles_sweep(self, tmp_path, capsys, thetas):
-        rc, err = run_sweep(tmp_path, capsys, "--ansatz", "2q", *thetas)
+        rc, err = run_sweep(tmp_path, capsys, *thetas)
         assert rc == cli.EXIT_OK and err == ""
         header, row = (tmp_path / "sweep.csv").read_text().splitlines()
         assert sum(float(p) for p in row.split(",")[2:6]) == pytest.approx(1.0, abs=1e-12)
@@ -203,6 +210,13 @@ class TestSweepInputErrors:
         assert rc == cli.EXIT_OK and err == ""
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 21 * 21
+
+    def test_theta2_selects_the_3q_loader(self, tmp_path, capsys):
+        rc, err = run_sweep(tmp_path, capsys, "--theta1", "90", "--theta2", "100")
+        assert rc == cli.EXIT_OK and err == ""
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert header.split(",")[:4] == ["theta0_deg", "theta1_deg", "theta2_deg", "p_000"]
+        assert row.split(",")[:3] == ["90.0", "90.0", "100.0"] and len(row.split(",")) == 3 + 8 + 1
 
 
 class TestReruns:
@@ -241,13 +255,14 @@ class TestReruns:
 
 class TestRecordedInputs:
     def test_gci_echoes_the_angles_as_given(self, tmp_path, capsys):
-        rc, err = run_cli(tmp_path, capsys, "gci", "--preset", "paper-gci", "--circuit", "transpiled",
-                          "--loader-thetas", "90,7.5", "--transpiled-thetas", "1.5,224,90,90,180")
-        assert rc == cli.EXIT_OK, err
-        echo = json.loads((tmp_path / "gci_report.json").read_text())["config_echo"]
-        assert echo["loader_thetas_deg"] == [90.0, 7.5]
-        assert echo["transpiled_thetas_deg"] == [1.5, 224.0, 90.0, 90.0, 180.0]
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == echo
+        for circuit, thetas, echoed in [("ideal", "90,7.5", [90.0, 7.5]),
+                                        ("transpiled", "1.5,224,90,90,180", [1.5, 224.0, 90.0, 90.0, 180.0])]:
+            out = tmp_path / circuit
+            rc, err = run_cli(out, capsys, "gci", "--preset", "paper-gci", "--circuit", circuit, "--thetas", thetas)
+            assert rc == cli.EXIT_OK, err
+            echo = json.loads((out / "gci_report.json").read_text())["config_echo"]
+            assert echo["thetas_deg"] == echoed
+            assert json.loads((out / "manifest.json").read_text())["config"] == echo
 
     @pytest.mark.parametrize("argv", [["sweep", "--preset", "table2-2q", "--shots", "50"],
                                       ["spam", "--ansatz", "2q", "--thetas", "90,200", "--reps", "2", "--shots", "50"]],
@@ -268,7 +283,7 @@ class TestProtocol:
     COMMANDS = {
         "train": (["train", "--config", TRAIN | {"max_iters": 3}],
                   ["train", "--config", TRAIN | {"sigma": -1}]),
-        "sweep": (["sweep", "--ansatz", "2q", "--theta1", "0:90:45"],
+        "sweep": (["sweep", "--theta1", "0:90:45"],
                   ["sweep", "--preset", "table2-2q", "--shots", "0"]),
         "gci": (["gci", "--preset", "paper-gci"], ["gci", "--preset", "paper-gci", "--shots", "0"]),
         "transpile": (["transpile", "--circuit", BELL, "--preset", "contralto-3q"],
@@ -412,6 +427,97 @@ class TestInputFileProperty:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = cli.main([*argv, flag, str(path), "--out-dir", str(out)])
+            err = err.getvalue()
+            assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE)
+            if rc == cli.EXIT_USAGE:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not out.exists()
+            else:
+                assert err == ""
+
+
+# A flag takes a valid value (most often), a boundary or wrong value, or is left out.
+FLAG_MODES = ("valid",) * 4 + ("odd", "drop", "drop")
+ODD_NUMBERS = ["0", "-1", "nan", "inf", "1e-320", "1e308", str(2**53 + 1), "2.5", "1,", ""]
+
+
+def texts(strategy):
+    """Lists drawn from `strategy`, joined by commas into one flag value."""
+    return strategy.map(lambda values: ",".join(map(repr, values)))
+
+
+def angles(n):
+    return texts(st.lists(floats(-720, 720), min_size=n, max_size=n))
+
+
+@st.composite
+def grids(draw):
+    """A sweep angle grid of at most 11 points: one angle or start:stop:step."""
+    start, step, k = draw(floats(-360, 360)), draw(floats(5, 90)), draw(st.integers(0, 10))
+    return draw(st.sampled_from([repr(start), f"{start!r}:{start + k * step!r}:{step!r}"]))
+
+
+ODD_GRIDS = ODD_NUMBERS + ["0:1e6:0.5", "1:0:1", "0:1:0", "0:90", "90,", "0:1e308:1e300"]
+# per flag: (valid values, odd values); shots and reps are bounded so that an example runs in milliseconds
+SHOTS = (st.integers(1, 500).map(str), ODD_NUMBERS + [str(2**53)])
+FIDELITY = (floats(0.5, 1.0).map(repr), ODD_NUMBERS + ["1.0000001", "0.5", "1"])
+NUMERIC_FLAGS = {
+    "sweep": {"--theta0": (floats(-720, 720).map(repr), ODD_GRIDS), "--theta2": (grids(), ODD_GRIDS),
+              "--shots": SHOTS, "--readout-fidelity": FIDELITY,
+              "--class-tol": (floats(0.0, 0.1).map(repr), ODD_NUMBERS)},
+    "gci": {"--levels": (texts(st.lists(floats(0.01, 0.99), min_size=1, max_size=3)), ODD_NUMBERS + ["0.95,", "1"]),
+            "--shots": SHOTS, "--readout-fidelity": FIDELITY},
+    "spam": {"--reps": (st.integers(2, 20).map(str), ODD_NUMBERS + ["1", str(cli.MAX_REPS + 1)]),
+             "--shots": SHOTS, "--readout-fidelity": FIDELITY},
+}
+ODD_ANGLES = ODD_NUMBERS + ["90,", "nan,90", "1e308,1e308", "90", "1,2,3,4,5"]
+
+
+@st.composite
+def flags(draw, table):
+    """argv for the flags of `table`, each valid, odd or left out; `--flag=value` keeps a value
+    such as -1e-05 from reading as a flag."""
+    argv = []
+    for flag, (valid, odd) in table.items():
+        mode = draw(st.sampled_from(FLAG_MODES))
+        if mode != "drop":
+            argv.append(f"{flag}={draw(valid if mode == 'valid' else st.sampled_from(odd))}")
+    return argv
+
+
+@st.composite
+def numeric_argv(draw, model_path):
+    """A sweep, gci or spam command line whose numeric flags are drawn from valid, boundary and wrong values."""
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    if command == "sweep":
+        head = draw(st.one_of(st.sampled_from(sorted(cli.SWEEP_PRESETS)).map(lambda p: ["--preset", p]),
+                              st.one_of(grids(), st.sampled_from(ODD_GRIDS)).map(lambda g: [f"--theta1={g}"])))
+    elif command == "gci":
+        circuit = draw(st.sampled_from(["ideal", "transpiled"]))
+        n = 2 if circuit == "ideal" else 5
+        head = draw(st.sampled_from([["--preset", "paper-gci"], ["--model", model_path]])) + ["--circuit", circuit]
+        head += draw(flags({"--thetas": (angles(n), ODD_ANGLES)}))
+    else:
+        ansatz = draw(st.sampled_from(sorted(cli.ANSATZ_QUBITS)))
+        thetas = draw(st.one_of(angles(cli.ANSATZ_QUBITS[ansatz]), st.sampled_from(ODD_ANGLES)))
+        head = ["--ansatz", ansatz, f"--thetas={thetas}"]
+    return [command, *head, *draw(flags(NUMERIC_FLAGS[command]))]
+
+
+class TestNumericFlagProperty:
+    """Any draw of the numeric flags ends in exit 0 or 3 with nothing on stderr, or in exit 2 with
+    one stderr line and no --out-dir."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_stderr(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            model, out = Path(tmp) / "model.json", Path(tmp) / "out"
+            model.write_text(json.dumps(MODEL))
+            argv = data.draw(numeric_argv(str(model)), label="argv")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([*argv, "--out-dir", str(out)])
             err = err.getvalue()
             assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE)
             if rc == cli.EXIT_USAGE:

@@ -23,7 +23,7 @@ def brute_force_cvar(losses, pdf, level):
 class TestCvar:
     def test_paper_gci_stays_between_var_and_the_largest_loss(self):
         model = GciModel.from_dict(PAPER_GCI["model"])
-        dist, report = riskpipe.run_gci_pipeline(model, loader_thetas=np.radians(PAPER_GCI["loader_thetas_deg"]))
+        dist, report = riskpipe.run_gci_pipeline(model, "ideal", np.radians(PAPER_GCI["thetas_deg"]["ideal"]))
         v, c = report["var"]["0.95"], report["cvar"]["0.95"]
         assert v <= c <= dist.losses[-1] == 1000.0
 

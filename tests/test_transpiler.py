@@ -26,6 +26,11 @@ class TestCouplingMapInput:
         with pytest.raises(ValueError, match="unknown qubit 'XX'"):
             transpiler.route(Circuit(2, [Gate.cnot(0, 1)]), contralto_3q(), initial_layout=["D3", "XX"])
 
+    @pytest.mark.parametrize("layout", [["D3"], ["D3", "A6", "C4"]], ids=["short", "long"])
+    def test_route_rejects_a_layout_of_the_wrong_length(self, layout):
+        with pytest.raises(transpiler.RoutingError, match=f"initial layout names {len(layout)} qubits, the circuit has 2"):
+            transpiler.route(Circuit(2, [Gate.cnot(0, 1)]), contralto_3q(), initial_layout=layout)
+
     def test_rejects_more_qubits_than_the_simulator_takes(self):
         names = [f"Q{i}" for i in range(simkit.MAX_QUBITS + 1)]
         with pytest.raises(ValueError, match=f"13 qubits, more than {simkit.MAX_QUBITS}"):
